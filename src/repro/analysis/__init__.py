@@ -2,7 +2,6 @@
 speedup curves and geometric means (Figure 4), bandwidth accounting
 (Figure 5), and text rendering of tables and series."""
 
-from repro.analysis.export import series_to_csv, table_to_csv, write_csv
 from repro.analysis.campaign import (
     render_campaign_diff,
     render_campaign_summary,
@@ -57,7 +56,4 @@ __all__ = [
     "run_fingerprint",
     "run_digest",
     "render_resilience_report",
-    "series_to_csv",
-    "table_to_csv",
-    "write_csv",
 ]

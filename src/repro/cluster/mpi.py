@@ -153,20 +153,28 @@ class MPI:
             obs.metrics.histogram("mpi.send_bytes").observe(nbytes)
 
     def recv(
-        self, dst_rank: int, src_rank: int, tag: Any = 0
+        self,
+        dst_rank: int,
+        src_rank: Optional[int],
+        tag: Any = 0,
+        mailbox: Optional[Store] = None,
     ) -> Generator[Event, Any, Any]:
         """Blocking receive; returns the payload.
 
         Drive with ``payload = yield from mpi.recv(...)`` in the
         receiving process.  Raises
         :class:`~repro.errors.ChannelFlushedError` if the mailbox is
-        flushed (misspeculation recovery) while blocked.
+        flushed (misspeculation recovery) while blocked.  ``mailbox``
+        overrides the per-(src, dst, tag) mailbox with an explicit
+        delivery store, mirroring :meth:`send`; a unit's multiplexed
+        inbox has no single source, so ``src_rank`` may then be
+        ``None`` (it only labels the trace span).
         """
         obs = self.env.obs
         start = self.env.now if obs is not None else 0.0
         core = self.machine.core(dst_rank)
         yield from core.drain()
-        box = self.mailbox(src_rank, dst_rank, tag)
+        box = mailbox if mailbox is not None else self.mailbox(src_rank, dst_rank, tag)
         payload = yield box.get()
         yield core.compute(self._recv_cycles)
         if obs is not None:

@@ -407,6 +407,8 @@ class ReservationStandby:
     def run(self) -> Generator[Event, Any, None]:
         system = self.system
         state = system.state
+        mpi, rank = system.mpi, self.core.index
+        inbox = system.inbox_of(self.tid)
         try:
             while True:
                 if state.promote_pending is not None:
@@ -414,7 +416,7 @@ class ReservationStandby:
                     return
                 if state.done:
                     return
-                msg = yield from system._ft_recv(self.tid)
+                msg = yield from mpi.recv(rank, None, mailbox=inbox)
                 if isinstance(msg, ControlEnvelope):
                     # CTL_PROMOTE wake-up ping; the loop top consumes the
                     # authoritative state.promote_pending.
@@ -557,7 +559,7 @@ class ReservationStandby:
         # From here on this process *is* the reservation service; the
         # full=True first broadcast makes every worker rebuild its
         # snapshot from the replicated image.
-        yield from system._ft_service_loop(engine, self.tid, full_first=True)
+        yield from system._service_loop(self.tid, engine, full_first=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -1,7 +1,8 @@
 """Observability hub: one tracer + one metrics registry per run.
 
 :func:`instrument` is the single entry point: given a constructed (not
-yet run) :class:`~repro.core.runtime.DSMTXSystem`, it creates an
+yet run) :class:`~repro.core.runtime.DSMTXSystem` or
+:class:`~repro.paradigms.specfor.SpecForSystem`, it creates an
 :class:`Observability` hub and attaches it to every hook point — the
 system, its simulation environment (where the cluster substrate finds
 it), the unit address spaces, and the run statistics.  All hook sites
@@ -122,26 +123,23 @@ def instrument(system, capacity: int = 1_000_000) -> Observability:
     system.env.obs = hub
     system.stats.observer = hub
     # Memory hooks: per-unit address spaces report faults/installs.
-    for worker in system.workers:
-        worker.space.obs = hub
-        worker.space.owner_tid = worker.tid
-    system.try_commit.shadow.obs = hub
-    system.try_commit.shadow.owner_tid = system.try_commit.tid
-    system.commit.master.obs = hub
-    system.commit.master.owner_tid = system.commit.tid
+    for tid, space in _unit_spaces(system):
+        space.obs = hub
+        space.owner_tid = tid
     # Perfetto track names.
     tracer = hub.tracer
     tracer.set_process_name(PID_RUNTIME, "dsmtx runtime units")
     tracer.set_process_name(PID_CLUSTER, "cluster cores")
-    for worker in system.workers:
-        tracer.set_thread_name(
-            PID_RUNTIME, worker.tid,
-            f"worker[{worker.stage_index}.{worker.replica}]",
-        )
-    tracer.set_thread_name(PID_RUNTIME, system.trycommit_tid, "try-commit")
-    tracer.set_thread_name(PID_RUNTIME, system.commit_tid, "commit")
-    for index, tid in enumerate(system.replica_tids):
-        tracer.set_thread_name(PID_RUNTIME, tid, f"coa-replica[{index}]")
+    if hasattr(system, "try_commit"):  # the DSMTX pipeline's units
+        for worker in system.workers:
+            tracer.set_thread_name(
+                PID_RUNTIME, worker.tid,
+                f"worker[{worker.stage_index}.{worker.replica}]",
+            )
+        tracer.set_thread_name(PID_RUNTIME, system.trycommit_tid, "try-commit")
+        tracer.set_thread_name(PID_RUNTIME, system.commit_tid, "commit")
+        for index, tid in enumerate(system.replica_tids):
+            tracer.set_thread_name(PID_RUNTIME, tid, f"coa-replica[{index}]")
     for tid in range(system.num_units):
         core = system.core_of(tid)
         tracer.set_thread_name(PID_CLUSTER, core.index, f"core{core.index}")
@@ -153,10 +151,20 @@ def detach(system) -> None:
     system.obs = None
     system.env.obs = None
     system.stats.observer = None
-    for worker in system.workers:
-        worker.space.obs = None
-    system.try_commit.shadow.obs = None
-    system.commit.master.obs = None
+    for _tid, space in _unit_spaces(system):
+        space.obs = None
+
+
+def _unit_spaces(system) -> list:
+    """``(tid, address space)`` of every unit-owned space of ``system``:
+    the pipeline's worker spaces and try-commit shadow (DSMTX only),
+    and the committed master (both runtimes)."""
+    spaces = []
+    if hasattr(system, "try_commit"):
+        spaces.extend((worker.tid, worker.space) for worker in system.workers)
+        spaces.append((system.trycommit_tid, system.try_commit.shadow))
+    spaces.append((system.commit_tid, system.commit.master))
+    return spaces
 
 
 @contextmanager

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass
+from itertools import count
 from typing import Any, Optional, Sequence
 
 from repro.cluster import MPI, Interconnect, Machine, place_units
@@ -87,16 +88,16 @@ DONE = 0
 TRY_COMMIT = 1
 TRY_AGAIN = 2
 
-_TAG_ROUND = "sf_round"
-_TAG_RESERVE = "sf_reserve"
-_TAG_VERDICT = "sf_verdict"
-_TAG_COMMIT = "sf_commit"
-#: Single tag for the fault-tolerant path: framed traffic multiplexes
-#: over one reliable-transport inbox per unit, so the protocol phase
-#: travels in the message itself, not the mailbox key.
-_TAG_FT = "sf_ft"
+#: The one mailbox tag of the protocol: the phase travels in the
+#: message itself, not the mailbox key.  Messages alternate strictly per
+#: worker (round, verdict, round, ... out; reserve, commit, ... back),
+#: so one FIFO per (src, dst) pair is enough on the plain link, and the
+#: reliable transport multiplexes everything over one inbox per unit.
+_TAG = "sf"
 
-# Fault-tolerant protocol message kinds (first element of the payload).
+# Message kinds (first element of the payload).  Round-protocol messages
+# are ``(kind, round, attempt, ...)`` on either link; the stop marker is
+# ``(_MSG_STOP,)``, and the standby stream carries its own shapes.
 _MSG_ROUND = "round"
 _MSG_RESERVE = "reserve"
 _MSG_VERDICT = "verdict"
@@ -379,17 +380,11 @@ class _RoundEngine:
         self.delta = sorted(merged.items())
         self.last_carried = carried
         self.pending = carried + self._rest
-        self.size = _next_round_size(
+        self.size = next_round_size(
             self.size, record.attempted, record.carried, self.max_round
         )
         self.round_index += 1
         return record
-
-
-#: Round-size adaptation lives in :mod:`repro.core.reservations` so the
-#: hot-standby replica can mirror the scheduler without importing this
-#: module (which imports the runtime that imports the standby).
-_next_round_size = next_round_size
 
 
 def _snapshot_entries(space: AddressSpace) -> list:
@@ -555,12 +550,12 @@ class SpecForSystem:
             ReliableTransport(self) if self.config.fault_tolerance else None
         )
         #: One multiplexed inbox per unit (fault-tolerant mode): framed
-        #: traffic and failure-detector wake-up pings share it.
-        self._inboxes = (
-            [Store(self.env) for _ in range(self.num_units)]
-            if self.config.fault_tolerance
-            else None
-        )
+        #: traffic and failure-detector wake-up pings share it.  ``None``
+        #: entries mean the plain per-(src, dst) MPI mailboxes.
+        self._inboxes = [
+            Store(self.env) if self.config.fault_tolerance else None
+            for _ in range(self.num_units)
+        ]
         self.uva = UnifiedVirtualAddressSpace(owners=self.num_units)
         self.site_slots = site.slots
         self.service = ReservationCommitService(site.slots)
@@ -681,156 +676,36 @@ class SpecForSystem:
         return service, engine
 
     # -- unit processes --------------------------------------------------------
-
-    def _service_proc(self):
-        mpi, config, stats = self.mpi, self.config, self.stats
-        rank = self._core_indices[self.service_tid]
-        core = self.machine.core(rank)
-        ipc = self.cluster.instructions_per_cycle
-        check_cycles = config.check_instructions / ipc
-        commit_cycles = config.commit_instructions / ipc
-        worker_ranks = [self._core_indices[w] for w in range(self.num_workers)]
-        engine = _RoundEngine(self.service, self.workload.iterations, self.granularity)
-        obs = self.obs
-        while (start := engine.begin_round()) is not None:
-            batch, delta = start
-            parts = [batch[w :: self.num_workers] for w in range(self.num_workers)]
-            delta_entries = tuple(delta)
-            for w, wrank in enumerate(worker_ranks):
-                nbytes = (
-                    len(parts[w]) * MARKER_BYTES
-                    + len(delta_entries) * ENTRY_BYTES
-                    + MARKER_BYTES
-                )
-                stats.record_queue_bytes("specfor_round", nbytes)
-                yield from mpi.send(
-                    rank, wrank, (parts[w], delta_entries), nbytes, tag=_TAG_ROUND
-                )
-            decisions = []
-            reserved_slots = 0
-            for wrank in worker_ranks:
-                part = yield from mpi.recv(rank, wrank, tag=_TAG_RESERVE)
-                decisions.extend(part)
-                reserved_slots += sum(len(slots) for _i, _st, slots in part)
-            # One write_min application plus one verdict check per
-            # reserved slot, priced like try-commit log checking.
-            core.charge_cycles(check_cycles * 2 * reserved_slots)
-            winners = engine.adjudicate(decisions)
-            winner_set = set(winners)
-            for w, wrank in enumerate(worker_ranks):
-                mine = [i for i in parts[w] if i in winner_set]
-                nbytes = len(mine) * MARKER_BYTES + MARKER_BYTES
-                stats.record_queue_bytes("specfor_verdict", nbytes)
-                yield from mpi.send(rank, wrank, mine, nbytes, tag=_TAG_VERDICT)
-            commit_results = []
-            for wrank in worker_ranks:
-                part = yield from mpi.recv(rank, wrank, tag=_TAG_COMMIT)
-                commit_results.extend(part)
-            record = engine.complete(commit_results)
-            core.charge_cycles(commit_cycles * record.words_committed)
-            stats.committed_mtxs += record.completed
-            stats.words_committed += record.words_committed
-            if obs is not None:
-                metrics = obs.metrics
-                metrics.counter("specfor.rounds").inc()
-                metrics.counter("specfor.committed").inc(record.completed)
-                metrics.counter("specfor.reservation_failures").inc(
-                    record.reservation_failures
-                )
-                metrics.counter("specfor.carried").inc(record.carried)
-                metrics.histogram("specfor.round_size").observe(record.attempted)
-        for wrank in worker_ranks:
-            yield from mpi.send(rank, wrank, None, MARKER_BYTES, tag=_TAG_ROUND)
-
-    def _worker_proc(self, w: int):
-        mpi, config, stats = self.mpi, self.config, self.stats
-        rank = self._core_indices[w]
-        service_rank = self._core_indices[self.service_tid]
-        core = self.machine.core(rank)
-        ipc = self.cluster.instructions_per_cycle
-        access_cycles = config.access_instructions / ipc
-        replica = AddressSpace(f"specfor.replica{w}")
-        step = self.workload.specfor_step()
-        while True:
-            payload = yield from mpi.recv(rank, service_rank, tag=_TAG_ROUND)
-            if payload is None:
-                return
-            assignment, delta = payload
-            core.charge_cycles(access_cycles * len(delta))
-            for address, value in delta:
-                replica.write(address, value)
-            decisions = []
-            cycles = 0.0
-            for iteration in assignment:
-                status, reserved, step_cycles = _run_reserve(
-                    step, replica, iteration, access_cycles
-                )
-                decisions.append((iteration, status, reserved))
-                cycles += step_cycles
-            core.charge_cycles(cycles)
-            nbytes = (
-                sum(len(slots) for _i, _st, slots in decisions) * ENTRY_BYTES
-                + len(decisions) * MARKER_BYTES
-                + MARKER_BYTES
-            )
-            stats.record_queue_bytes("specfor_reserve", nbytes)
-            yield from mpi.send(rank, service_rank, decisions, nbytes, tag=_TAG_RESERVE)
-            winners = yield from mpi.recv(rank, service_rank, tag=_TAG_VERDICT)
-            commit_results = []
-            cycles = 0.0
-            for iteration in winners:
-                ok, writes, step_cycles = _run_commit(
-                    step, replica, iteration, access_cycles
-                )
-                commit_results.append((iteration, ok, writes))
-                cycles += step_cycles
-            core.charge_cycles(cycles)
-            nbytes = (
-                sum(len(writes) for _i, _ok, writes in commit_results) * ENTRY_BYTES
-                + len(commit_results) * MARKER_BYTES
-                + MARKER_BYTES
-            )
-            stats.record_queue_bytes("specfor_commit", nbytes)
-            yield from mpi.send(
-                rank, service_rank, commit_results, nbytes, tag=_TAG_COMMIT
-            )
-
-    # -- fault-tolerant unit processes -----------------------------------------
     #
-    # The fault-free procs above stay byte-for-byte what they were (the
-    # nine pinned specfor goldens depend on it); ``fault_tolerance=True``
-    # swaps in the variants below: every message is framed through the
-    # reliable transport into one multiplexed inbox per unit (dedup /
-    # reorder / ack / retransmit under injected loss and duplication),
-    # replies carry (round, attempt) so stale traffic from an aborted
-    # round is discarded, and the service streams each completed round
-    # to the hot standby.
+    # One service loop and one worker loop, over either link.  Without
+    # fault tolerance a message goes straight to the receiver's
+    # per-(src, dst) mailbox; with it, every message is framed through
+    # the reliable transport into one multiplexed inbox per unit (dedup
+    # / reorder / ack / retransmit under injected loss and duplication),
+    # the (round, attempt) stamp discards stale replies of an aborted
+    # round, and the service checkpoints each epoch and streams each
+    # completed round to the hot standby.
 
-    def _ft_send(self, src_tid: int, dst_tid: int, payload, nbytes: int):
-        """Frame ``payload`` on the (src, dst) link and send it into the
-        destination's ingest box (sequence numbering + retransmit)."""
-        frame = self.transport.stamp(src_tid, dst_tid, payload, nbytes)
-        yield from self.mpi.send(
-            self._core_indices[src_tid], self._core_indices[dst_tid],
-            frame, nbytes, tag=_TAG_FT,
-            mailbox=self.transport.ingest_box(dst_tid),
+    def _send(self, src_tid: int, dst_tid: int, payload, nbytes: int):
+        """The ``MPI.send`` generator of one protocol message: framed on
+        the (src, dst) link into the destination's ingest box when the
+        reliable transport is on, a plain send otherwise."""
+        src, dst = self._core_indices[src_tid], self._core_indices[dst_tid]
+        transport = self.transport
+        if transport is None:
+            return self.mpi.send(src, dst, payload, nbytes, tag=_TAG)
+        frame = transport.stamp(src_tid, dst_tid, payload, nbytes)
+        return self.mpi.send(
+            src, dst, frame, nbytes, tag=_TAG, mailbox=transport.ingest_box(dst_tid)
         )
 
-    def _ft_recv(self, tid: int):
-        """Blocking receive from a unit's multiplexed inbox, priced like
-        :meth:`repro.cluster.mpi.MPI.recv`."""
-        core = self.core_of(tid)
-        yield from core.drain()
-        payload = yield self._inboxes[tid].get()
-        yield core.compute(self.mpi._recv_cycles)
-        return payload
-
-    def _ft_note_failures(self, engine, in_flight: int) -> bool:
+    def _note_failures(self, engine, in_flight: int) -> bool:
         """Consume pending node-failure declarations (service side).
 
         Returns True when a live worker died — the in-flight round must
         be aborted and re-issued over the survivors.  A standby death
         only degrades the run (replication stops); it never aborts.
+        Nothing is ever pending without fault tolerance.
         """
         state = self.state
         aborted = False
@@ -863,187 +738,199 @@ class SpecForSystem:
                 self.obs.metrics.counter("ft.failovers").inc()
         return aborted
 
-    def _ft_run_round(
-        self, engine, tid: int, core, batch, delta, attempt: int,
-        full: bool, check_cycles: float,
-    ):
-        """One attempt at one round; returns the RoundRecord, or None
-        when a worker death aborted the attempt (re-issue with the
-        survivors)."""
-        stats = self.stats
-        live = list(self.live_workers)
-        round_index = engine.round_index
-        parts = {w: batch[i :: len(live)] for i, w in enumerate(live)}
-        delta_entries = tuple(delta)
-        for w in live:
-            nbytes = (
-                len(parts[w]) * MARKER_BYTES
-                + len(delta_entries) * ENTRY_BYTES
-                + MARKER_BYTES
-                + self.transport.extra_bytes
-            )
-            stats.record_queue_bytes("specfor_round", nbytes)
-            yield from self._ft_send(
-                tid, w,
-                (_MSG_ROUND, round_index, attempt, parts[w], delta_entries, full),
-                nbytes,
-            )
-        decisions = []
-        reserved_slots = 0
-        want = set(live)
-        got: set = set()
-        while got != want:
-            msg = yield from self._ft_recv(tid)
-            if isinstance(msg, ControlEnvelope):
-                if self._ft_note_failures(engine, in_flight=len(batch)):
-                    # Pre-adjudication: no reservation was applied yet,
-                    # the attempt simply restarts over the survivors.
-                    return None
-                continue
-            if msg[0] == _MSG_RESERVE and msg[1] == round_index and msg[2] == attempt:
-                w = msg[3]
-                if w in want and w not in got:
-                    got.add(w)
-                    part = msg[4]
-                    decisions.extend(part)
-                    reserved_slots += sum(len(slots) for _i, _st, slots in part)
-            # Anything else is a stale reply from an aborted attempt (or
-            # a dead primary's epoch) — the attempt tag filters it out.
-        core.charge_cycles(check_cycles * 2 * reserved_slots)
-        winners = engine.adjudicate(decisions)
-        winner_set = set(winners)
-        for w in live:
-            mine = [i for i in parts[w] if i in winner_set]
-            nbytes = len(mine) * MARKER_BYTES + MARKER_BYTES + self.transport.extra_bytes
-            stats.record_queue_bytes("specfor_verdict", nbytes)
-            yield from self._ft_send(
-                tid, w, (_MSG_VERDICT, round_index, attempt, mine), nbytes
-            )
-        commit_results = []
-        got = set()
-        while got != want:
-            msg = yield from self._ft_recv(tid)
-            if isinstance(msg, ControlEnvelope):
-                if self._ft_note_failures(engine, in_flight=len(batch)):
-                    # Post-adjudication: the dead worker's reservations
-                    # are already in the table — void them and roll the
-                    # counters back to the round-start checkpoint.
-                    engine.abort_round()
-                    return None
-                continue
-            if msg[0] == _MSG_COMMIT and msg[1] == round_index and msg[2] == attempt:
-                w = msg[3]
-                if w in want and w not in got:
-                    got.add(w)
-                    commit_results.extend(msg[4])
-        return engine.complete(commit_results)
+    def _gather(self, engine, tid: int, live, kind: str, attempt: int, in_flight: int):
+        """One ``kind`` reply from every live worker, as ``{worker:
+        payload}``; ``None`` when a worker death voided the attempt.
 
-    def _ft_service_loop(self, engine, tid: int, full_first: bool):
-        """The round scheduler under fault tolerance.
-
-        Shared between the initial service process and a promoted
-        standby (which enters with ``full_first=True`` so every worker
-        rebuilds its snapshot from the replicated image).
+        The plain link receives worker by worker, in rank order, from
+        each worker's own mailbox: the order the receive overhead is
+        charged in is part of the simulated timing.  The reliable
+        transport delivers into one inbox in arrival order; replies that
+        fail the (round, attempt) filter are stale traffic of an aborted
+        attempt (or a dead primary's epoch), and a failure-detector ping
+        runs the failure handling.
         """
-        config, stats = self.config, self.stats
+        mpi = self.mpi
+        ranks = self._core_indices
+        rank = ranks[tid]
+        inbox = self._inboxes[tid]
+        round_index = engine.round_index
+        replies: dict = {}
+        src = None
+        while (got := len(replies)) < len(live):
+            if inbox is None:
+                src = ranks[live[got]]
+            msg = yield from mpi.recv(rank, src, _TAG, mailbox=inbox)
+            if (
+                msg[0] == kind and msg[1] == round_index and msg[2] == attempt
+                and msg[3] in live and msg[3] not in replies
+            ):
+                replies[msg[3]] = msg[4]
+            elif isinstance(msg, ControlEnvelope) and self._note_failures(
+                engine, in_flight
+            ):
+                return None
+        return replies
+
+    def _service_loop(self, tid: int, engine=None, full_first: bool = False):
+        """The reservation service: the round scheduler over either link.
+
+        Spawned as the service unit's process, and entered by a promoted
+        standby with its resumed ``engine`` and ``full_first=True`` (so
+        every worker rebuilds its snapshot from the replicated image).
+        """
+        config, stats, obs = self.config, self.stats, self.obs
+        transport = self.transport
+        extra = transport.extra_bytes if transport is not None else 0
         core = self.machine.core(self._core_indices[tid])
         ipc = self.cluster.instructions_per_cycle
         check_cycles = config.check_instructions / ipc
         commit_cycles = config.commit_instructions / ipc
-        obs = self.obs
-        full = full_first
-        spec = engine.service.stats
-        ckpt_committed = spec.committed
-        ckpt_words = spec.words_committed
-        while True:
-            self._ft_note_failures(engine, in_flight=0)
-            start = engine.begin_round()
-            if start is None:
-                break
-            batch, delta = start
-            attempt = 0
-            while True:
-                record = yield from self._ft_run_round(
-                    engine, tid, core, batch, delta, attempt, full, check_cycles
-                )
-                if record is not None:
-                    break
-                attempt += 1
-                stats.ft_round_reexecutions += 1
-                if obs is not None:
-                    obs.metrics.counter("ft.round_reexecutions").inc()
-            full = False
-            core.charge_cycles(commit_cycles * record.words_committed)
-            stats.committed_mtxs += record.completed
-            stats.words_committed += record.words_committed
-            if obs is not None:
-                metrics = obs.metrics
-                metrics.counter("specfor.rounds").inc()
-                metrics.counter("specfor.committed").inc(record.completed)
-                metrics.counter("specfor.reservation_failures").inc(
-                    record.reservation_failures
-                )
-                metrics.counter("specfor.carried").inc(record.carried)
-                metrics.histogram("specfor.round_size").observe(record.attempted)
-            if self.standby_alive:
-                entries = tuple(engine.delta)
-                carried = tuple(engine.last_carried)
-                nbytes = (
-                    len(entries) * ENTRY_BYTES
-                    + len(carried) * MARKER_BYTES
-                    + 8 * MARKER_BYTES
-                    + self.transport.extra_bytes
-                )
-                stats.record_queue_bytes("repl", nbytes)
-                yield from self._ft_send(
-                    tid, self.standby_tid,
-                    (
-                        _MSG_REPL_ROUND, record.as_tuple(), entries, carried,
-                        engine.service.table.counters(),
-                    ),
-                    nbytes,
-                )
-            if spec.committed - ckpt_committed >= config.checkpoint_interval_mtxs:
-                words = spec.words_committed - ckpt_words
-                core.charge_instructions(
-                    config.checkpoint_base_instructions
-                    + words * config.checkpoint_word_instructions
-                )
-                stats.checkpoints.append(
-                    CheckpointRecord(
-                        iteration=spec.committed, words=words, at=self.env.now
-                    )
-                )
-                ckpt_committed = spec.committed
-                ckpt_words = spec.words_committed
-                if self.standby_alive:
-                    nbytes = 2 * MARKER_BYTES + self.transport.extra_bytes
-                    stats.record_queue_bytes("repl", nbytes)
-                    yield from self._ft_send(
-                        tid, self.standby_tid,
-                        (_MSG_REPL_CHECKPOINT, spec.committed), nbytes,
-                    )
-        for w in list(self.live_workers):
-            nbytes = MARKER_BYTES + self.transport.extra_bytes
-            stats.record_queue_bytes("specfor_round", nbytes)
-            yield from self._ft_send(tid, w, (_MSG_STOP,), nbytes)
-        if self.standby_alive:
-            nbytes = MARKER_BYTES + self.transport.extra_bytes
-            stats.record_queue_bytes("repl", nbytes)
-            yield from self._ft_send(tid, self.standby_tid, (_MSG_STOP,), nbytes)
-        # state.terminate() happens in run() *after* env.run completes:
-        # terminating here would self-cancel the retransmit timers of
-        # stop frames still in flight, stranding a worker whose stop a
-        # loss fault dropped.
-
-    def _ft_service_proc(self):
-        engine = _RoundEngine(
-            self.service, self.workload.iterations, self.granularity
-        )
         try:
-            yield from self._ft_service_loop(
-                engine, self.service_tid, full_first=False
-            )
+            if engine is None:
+                engine = _RoundEngine(
+                    self.service, self.workload.iterations, self.granularity
+                )
+            full = full_first
+            spec = engine.service.stats
+            ckpt_committed = spec.committed
+            ckpt_words = spec.words_committed
+            while True:
+                self._note_failures(engine, in_flight=0)
+                start = engine.begin_round()
+                if start is None:
+                    break
+                batch, delta = start
+                delta_entries = tuple(delta)
+                round_index = engine.round_index
+                # Attempts of this round: a worker death voids the
+                # in-flight attempt, which is re-issued over the
+                # survivors (a plain round never aborts).
+                for attempt in count():
+                    if attempt:
+                        stats.ft_round_reexecutions += 1
+                        if obs is not None:
+                            obs.metrics.counter("ft.round_reexecutions").inc()
+                    live = list(self.live_workers)
+                    parts = {w: batch[i :: len(live)] for i, w in enumerate(live)}
+                    for w in live:
+                        nbytes = (
+                            len(parts[w]) * MARKER_BYTES
+                            + len(delta_entries) * ENTRY_BYTES
+                            + MARKER_BYTES
+                            + extra
+                        )
+                        stats.record_queue_bytes("specfor_round", nbytes)
+                        yield from self._send(
+                            tid, w,
+                            (_MSG_ROUND, round_index, attempt, parts[w],
+                             delta_entries, full),
+                            nbytes,
+                        )
+                    replies = yield from self._gather(
+                        engine, tid, live, _MSG_RESERVE, attempt, len(batch)
+                    )
+                    if replies is None:
+                        # Pre-adjudication: no reservation was applied
+                        # yet, the attempt simply restarts.
+                        continue
+                    decisions = [d for part in replies.values() for d in part]
+                    reserved_slots = sum(len(slots) for _i, _st, slots in decisions)
+                    # One write_min application plus one verdict check
+                    # per reserved slot, priced like try-commit log
+                    # checking.
+                    core.charge_cycles(check_cycles * 2 * reserved_slots)
+                    winner_set = set(engine.adjudicate(decisions))
+                    for w in live:
+                        mine = [i for i in parts[w] if i in winner_set]
+                        nbytes = len(mine) * MARKER_BYTES + MARKER_BYTES + extra
+                        stats.record_queue_bytes("specfor_verdict", nbytes)
+                        yield from self._send(
+                            tid, w, (_MSG_VERDICT, round_index, attempt, mine),
+                            nbytes,
+                        )
+                    replies = yield from self._gather(
+                        engine, tid, live, _MSG_COMMIT, attempt, len(batch)
+                    )
+                    if replies is not None:
+                        break
+                    # Post-adjudication: the dead worker's reservations
+                    # are already in the table — void them and roll the
+                    # counters back to the round-start checkpoint.
+                    engine.abort_round()
+                record = engine.complete(
+                    [result for part in replies.values() for result in part]
+                )
+                full = False
+                core.charge_cycles(commit_cycles * record.words_committed)
+                stats.committed_mtxs += record.completed
+                stats.words_committed += record.words_committed
+                if obs is not None:
+                    metrics = obs.metrics
+                    metrics.counter("specfor.rounds").inc()
+                    metrics.counter("specfor.committed").inc(record.completed)
+                    metrics.counter("specfor.reservation_failures").inc(
+                        record.reservation_failures
+                    )
+                    metrics.counter("specfor.carried").inc(record.carried)
+                    metrics.histogram("specfor.round_size").observe(record.attempted)
+                if transport is None:
+                    continue
+                # Recovery state: only a fault-tolerant run replicates
+                # rounds and takes epoch checkpoints.
+                if self.standby_alive:
+                    entries = tuple(engine.delta)
+                    carried = tuple(engine.last_carried)
+                    nbytes = (
+                        len(entries) * ENTRY_BYTES
+                        + len(carried) * MARKER_BYTES
+                        + 8 * MARKER_BYTES
+                        + extra
+                    )
+                    stats.record_queue_bytes("repl", nbytes)
+                    yield from self._send(
+                        tid, self.standby_tid,
+                        (
+                            _MSG_REPL_ROUND, record.as_tuple(), entries, carried,
+                            engine.service.table.counters(),
+                        ),
+                        nbytes,
+                    )
+                if spec.committed - ckpt_committed >= config.checkpoint_interval_mtxs:
+                    words = spec.words_committed - ckpt_words
+                    core.charge_instructions(
+                        config.checkpoint_base_instructions
+                        + words * config.checkpoint_word_instructions
+                    )
+                    stats.checkpoints.append(
+                        CheckpointRecord(
+                            iteration=spec.committed, words=words, at=self.env.now
+                        )
+                    )
+                    ckpt_committed = spec.committed
+                    ckpt_words = spec.words_committed
+                    if self.standby_alive:
+                        nbytes = 2 * MARKER_BYTES + extra
+                        stats.record_queue_bytes("repl", nbytes)
+                        yield from self._send(
+                            tid, self.standby_tid,
+                            (_MSG_REPL_CHECKPOINT, spec.committed), nbytes,
+                        )
+            for w in list(self.live_workers):
+                nbytes = MARKER_BYTES + extra
+                # Pinned accounting quirk: plain stop markers were never
+                # counted in queue_bytes, framed stop frames always were.
+                if transport is not None:
+                    stats.record_queue_bytes("specfor_round", nbytes)
+                yield from self._send(tid, w, (_MSG_STOP,), nbytes)
+            if self.standby_alive:
+                nbytes = MARKER_BYTES + extra
+                stats.record_queue_bytes("repl", nbytes)
+                yield from self._send(tid, self.standby_tid, (_MSG_STOP,), nbytes)
+            # state.terminate() happens in run() *after* env.run
+            # completes: terminating here would self-cancel the
+            # retransmit timers of stop frames still in flight,
+            # stranding a worker whose stop a loss fault dropped.
         except ProcessInterrupt as interrupt:
             if isinstance(interrupt.cause, NodeCrashed):
                 # The service's node died; the standby-side watcher
@@ -1051,18 +938,25 @@ class SpecForSystem:
                 return
             raise
 
-    def _ft_worker_proc(self, w: int):
-        config, stats = self.config, self.stats
-        core = self.machine.core(self._core_indices[w])
-        ipc = self.cluster.instructions_per_cycle
-        access_cycles = config.access_instructions / ipc
+    def _worker_loop(self, w: int):
+        """One worker: run the reserve and commit steps of its share of
+        each round against its round-start snapshot."""
+        mpi, config, stats = self.mpi, self.config, self.stats
+        rank = self._core_indices[w]
+        core = self.machine.core(rank)
+        access_cycles = config.access_instructions / self.cluster.instructions_per_cycle
+        extra = self.transport.extra_bytes if self.transport is not None else 0
+        inbox = self._inboxes[w]
+        # The plain link reads the service's mailbox; a multiplexed
+        # inbox has no single source.
+        src = self._core_indices[self.service_tid] if inbox is None else None
         replica = AddressSpace(f"specfor.replica{w}")
         step = self.workload.specfor_step()
         try:
             while True:
-                msg = yield from self._ft_recv(w)
-                if isinstance(msg, ControlEnvelope):
-                    continue
+                msg = yield from mpi.recv(rank, src, _TAG, mailbox=inbox)
+                # A failure-detector ping (a ControlEnvelope) matches no
+                # protocol kind and falls through.
                 kind = msg[0]
                 if kind == _MSG_STOP:
                     return
@@ -1092,10 +986,10 @@ class SpecForSystem:
                         * ENTRY_BYTES
                         + len(decisions) * MARKER_BYTES
                         + MARKER_BYTES
-                        + self.transport.extra_bytes
+                        + extra
                     )
                     stats.record_queue_bytes("specfor_reserve", nbytes)
-                    yield from self._ft_send(
+                    yield from self._send(
                         w, self.commit_tid,
                         (_MSG_RESERVE, round_index, attempt, w, decisions),
                         nbytes,
@@ -1116,10 +1010,10 @@ class SpecForSystem:
                         * ENTRY_BYTES
                         + len(commit_results) * MARKER_BYTES
                         + MARKER_BYTES
-                        + self.transport.extra_bytes
+                        + extra
                     )
                     stats.record_queue_bytes("specfor_commit", nbytes)
-                    yield from self._ft_send(
+                    yield from self._send(
                         w, self.commit_tid,
                         (_MSG_COMMIT, round_index, attempt, w, commit_results),
                         nbytes,
@@ -1142,37 +1036,27 @@ class SpecForSystem:
     def run(self) -> RunResult:
         """Drive the loop to completion; returns the usual RunResult."""
         start = self.env.now
-        if self.config.fault_tolerance:
-            processes = [
-                self._spawn_unit(w, self._ft_worker_proc(w), f"specfor.worker{w}")
-                for w in range(self.num_workers)
-            ]
+        processes = [
+            self._spawn_unit(w, self._worker_loop(w), f"specfor.worker{w}")
+            for w in range(self.num_workers)
+        ]
+        processes.append(
+            self._spawn_unit(
+                self.service_tid, self._service_loop(self.service_tid),
+                "specfor.service",
+            )
+        )
+        if self.standby is not None:
+            # The initial image is the epoch-0 checkpoint: the standby
+            # starts from the same program state as the primary.
+            self.standby.seed_image(self.service.master)
             processes.append(
                 self._spawn_unit(
-                    self.service_tid, self._ft_service_proc(), "specfor.service"
+                    self.standby_tid, self.standby.run(), "specfor.standby"
                 )
             )
-            if self.standby is not None:
-                # The initial image is the epoch-0 checkpoint: the
-                # standby starts from the same program state as the
-                # primary.
-                self.standby.seed_image(self.service.master)
-                processes.append(
-                    self._spawn_unit(
-                        self.standby_tid, self.standby.run(), "specfor.standby"
-                    )
-                )
+        if self.failure_detector is not None:
             self.failure_detector.start()
-        else:
-            processes = [
-                self._spawn_unit(w, self._worker_proc(w), f"specfor.worker{w}")
-                for w in range(self.num_workers)
-            ]
-            processes.append(
-                self._spawn_unit(
-                    self.service_tid, self._service_proc(), "specfor.service"
-                )
-            )
         if self.env.chaos is not None:
             self.env.chaos.bind_system(self)
         self.env.run(until=self.env.all_of(processes))

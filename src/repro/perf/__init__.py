@@ -9,6 +9,7 @@ how fast the pure-Python DES hot path executes on the host.  See
 from repro.perf.harness import (
     BENCH_JSON_NAME,
     MATRIX,
+    NON_SIMULATOR_ENTRIES,
     BenchResult,
     cmd_perf,
     render_comparison,
@@ -18,6 +19,7 @@ from repro.perf.harness import (
 __all__ = [
     "BENCH_JSON_NAME",
     "MATRIX",
+    "NON_SIMULATOR_ENTRIES",
     "BenchResult",
     "cmd_perf",
     "render_comparison",

@@ -304,6 +304,10 @@ MATRIX: dict[str, Callable[[bool], tuple[int, float]]] = {
         fault_tolerance=True, commit_replication=True, placement="spread"),
 }
 
+#: Matrix entries that run no simulator, so they report zero simulated
+#: seconds: the memory-layer A/B pair.  Every other entry simulates.
+NON_SIMULATOR_ENTRIES = frozenset({"mem_word_micro", "mem_block_micro"})
+
 #: Entries the CI perf-drift guard watches, and the tolerated
 #: regression vs. the committed baseline before the guard fails.
 #: specfor_sf_4w and specfor_ft_4w guard both sides of the

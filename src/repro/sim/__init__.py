@@ -8,7 +8,6 @@ cluster substrate is built from.
 
 from repro.sim.engine import PENDING, Environment, Event, Process, Timeout
 from repro.sim.resources import Barrier, Resource, Store
-from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
     "Environment",
@@ -19,6 +18,4 @@ __all__ = [
     "Resource",
     "Store",
     "Barrier",
-    "Tracer",
-    "TraceRecord",
 ]

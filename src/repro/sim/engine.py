@@ -296,7 +296,7 @@ class Environment:
         self.chaos = None
         #: Live processes, in creation order (deadlock diagnostics).
         self._processes: dict[Process, None] = {}
-        #: Hooks invoked with each processed event (see ``repro.sim.trace``).
+        #: Hooks invoked with each processed event (``add_step_listener``).
         self._step_listeners: list[Callable[[Event], None]] = []
         #: Events processed so far (the ``repro perf`` throughput metric).
         self.events_processed = 0

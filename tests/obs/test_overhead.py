@@ -104,6 +104,34 @@ def test_listener_attached_mid_run_sees_remaining_events():
     assert len(seen) == 4
 
 
+def test_two_listeners_coexist():
+    # Listeners are independent: removing one leaves the other
+    # observing every later event.
+    from repro.sim import Environment, Timeout
+
+    env = Environment()
+    first, second = [], []
+    on_first, on_second = first.append, second.append
+    env.add_step_listener(on_first)
+    env.add_step_listener(on_second)
+
+    def five_timeouts():
+        for _ in range(5):
+            yield env.timeout(1.0)
+
+    def timeouts(seen):
+        return sum(type(event) is Timeout for event in seen)
+
+    env.process(five_timeouts())
+    env.run()
+    assert timeouts(first) == timeouts(second) == 5
+    env.remove_step_listener(on_first)
+    env.process(five_timeouts())
+    env.run()
+    assert timeouts(first) == 5
+    assert timeouts(second) == 10
+
+
 def test_disabled_wall_clock_overhead_under_5_percent():
     def best_of(instrumented, repeats=3):
         best = float("inf")

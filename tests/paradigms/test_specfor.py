@@ -149,6 +149,31 @@ def test_stats_surface_into_run_stats():
     assert stats.queue_bytes_by_purpose["specfor_commit"] > 0
 
 
+@pytest.mark.parametrize("fault_tolerant", [False, True], ids=["plain", "ft_standby"])
+def test_round_metrics_reconcile_with_run_stats(fault_tolerant):
+    """The per-round metrics block exists once, shared by both links:
+    its counters must equal the RunStats the run reports."""
+    from repro.core import SystemConfig
+    from repro.obs import instrument
+
+    config = SystemConfig(
+        total_cores=6, fault_tolerance=True, commit_replication=True
+    ) if fault_tolerant else SystemConfig(total_cores=5)
+    system = SpecForSystem(
+        SpanningForest(iterations=48, density=0.7), config, workers=4
+    )
+    hub = instrument(system)
+    stats = system.run().stats
+    assert stats.specfor_rounds > 1 and stats.specfor_carried > 0
+    counters = hub.metrics.snapshot()
+    assert counters["specfor.rounds"] == stats.specfor_rounds
+    assert counters["specfor.committed"] == stats.committed_mtxs
+    assert counters["specfor.carried"] == stats.specfor_carried
+    assert (counters["specfor.reservation_failures"]
+            == stats.specfor_reservation_failures)
+    assert counters["mpi.recvs"] > 0
+
+
 # -- step-context discipline -------------------------------------------------------
 
 
