@@ -1,8 +1,7 @@
 """Heartbeat-based failure detection (fault-tolerant mode).
 
-Every node that hosts runtime units runs a lightweight *heartbeat
-emitter* that pings the commit node every
-:attr:`ClusterSpec.heartbeat_period_s`.  The :class:`FailureDetector`,
+Every node that hosts runtime units heartbeats the commit node every
+:attr:`ClusterSpec.heartbeat_period_s`, and the :class:`FailureDetector`,
 co-located with the commit unit, sweeps the per-node last-heard times;
 a node silent for longer than :attr:`ClusterSpec.suspicion_timeout_s`
 is declared dead:
@@ -24,14 +23,25 @@ healthy node is never suspected: transient link faults only delay data
 traffic (absorbed by the reliable transport) and never trigger a
 spurious failover.
 
+All of this runs on **one detector clock** per run.  Every node beats
+at the same instants, and the sweep and the standby-side watcher below
+poll at those instants too, so a single process ticks once per period
+and plays every role in a fixed order: the beats of the nodes in
+:attr:`FailureDetector.beating`, then the sweep round, then the watcher
+round.  A role lives on a node and falls silent from the instant that
+node crashes (``ChaosEngine.dead_nodes``, read at every tick): a crash
+exactly on a tick silences that tick's beat, because the crash was
+scheduled first.  Beats are recorded at send time: the suspicion
+timeout already budgets the (microsecond-scale) management-path delay.
+
 A crash of the try-commit node is not survivable — the validation
 pipeline has no replica — and raises
 :class:`~repro.errors.ClusterFailedError`.  The same goes for the
 commit node, *unless* commit replication is on
 (``SystemConfig.commit_replication``): then the detection duty for the
-primary moves to a **standby-side watcher** co-located with the hot
-standby, because the commit-side sweep dies with the primary.  The
-watcher declares the primary dead only when
+primary moves to a **standby-side watcher** role hosted on the hot
+standby's node, because the commit-side sweep dies with the primary.
+The watcher declares the primary dead only when
 
 * the primary has been silent past the suspicion timeout, **and**
 * a quorum of the *other* monitored nodes has been heard recently
@@ -43,7 +53,8 @@ watcher declares the primary dead only when
 
 The declaration queues the failover, passes the primary's barrier seat
 to the standby, and sets ``SystemState.promote_pending`` — the signal
-the standby's run loop turns into a promotion.
+the standby's run loop turns into a promotion.  From then on the
+watcher also plays the sweep on the promoted node.
 """
 
 from __future__ import annotations
@@ -51,13 +62,14 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.core.messages import CTL_NODE_FAILED, CTL_PROMOTE, ControlEnvelope
-from repro.errors import ClusterFailedError, NodeCrashed, ProcessInterrupt
+from repro.errors import ClusterFailedError
 
 __all__ = ["FailureDetector", "SpecForFailureDetector"]
 
 
 class FailureDetector:
-    """Per-node heartbeat emitters plus the commit-side sweep process."""
+    """The detector clock: node heartbeats, the commit-side sweep, and
+    the standby-side watcher, ticking together in one process."""
 
     def __init__(self, system: "DSMTXSystem") -> None:  # noqa: F821
         self.system = system
@@ -77,12 +89,24 @@ class FailureDetector:
             if system.standby_tid is not None
             else None
         )
+        #: Node the sweep dies with: the primary's, with replication
+        #: (the watcher carries on); ``None`` without, where losing the
+        #: commit node is fatal anyway.
+        self.sweep_node = self.commit_node if self.replicated else None
         #: tids hosted on each monitored node.
         self.tids_by_node: dict[int, list[int]] = {}
         for tid in range(system.num_units):
             node = spec.node_of_core(system._core_indices[tid])
             self.tids_by_node.setdefault(node, []).append(tid)
         self.last_heard: dict[int, float] = {}
+        #: Nodes that beat at every tick.  With commit replication the
+        #: commit node beats too: its silence is what the watcher
+        #: detects.  A crashed node leaves the set at its first tick.
+        self.beating: set[int] = {
+            node
+            for node in self.tids_by_node
+            if node != self.commit_node or self.replicated
+        }
         self.declared: set[int] = set()
 
     @property
@@ -90,66 +114,40 @@ class FailureDetector:
         return self.standby_node is not None
 
     def start(self) -> None:
-        """Spawn the emitters and the sweep as detached processes.
+        """Spawn the detector clock as a detached process.
 
-        Called by :meth:`DSMTXSystem.run` after unit processes exist, so
-        emitters can be registered for chaos-engine crash targeting.
+        Called by ``run()`` after the unit processes exist.  The clock
+        is not registered to any node: each of its roles checks its own
+        host node at every tick instead.
         """
-        system = self.system
-        env = system.env
+        env = self.system.env
         now = env.now
         for node in self.tids_by_node:
             self.last_heard[node] = now
-            # With commit replication the commit node beats too: its
-            # silence is what the standby-side watcher detects.
-            if node != self.commit_node or self.replicated:
-                process = env.process(
-                    self._emit(node), name=f"heartbeat[node{node}]"
-                )
-                system.register_node_process(node, process)
-        sweep = env.process(self._sweep(), name="failure-detector")
-        if self.replicated:
-            # The sweep is co-located with the commit unit: it dies with
-            # the primary, and the watcher below takes over its duty.
-            system.register_node_process(self.commit_node, sweep)
-            watcher = env.process(self._watch_primary(), name="standby-watcher")
-            system.register_node_process(self.standby_node, watcher)
+        env.process(self._clock(), name="failure-detector")
 
-    def _emit(self, node: int) -> Generator:
-        """Heartbeat emitter hosted on ``node``; dies with the node.
-
-        The beat is recorded at send time: the suspicion timeout already
-        budgets the (microsecond-scale) management-path delay, so
-        modelling the flight adds nothing but allocations.
-        """
+    def _clock(self) -> Generator:
         system = self.system
         env = system.env
+        state = system.state
+        stats = system.stats
         period = self.period
-        try:
-            while not system.state.done:
-                yield env.sleep(period)
-                self.last_heard[node] = env.now
-                system.stats.ft_heartbeats += 1
-        except ProcessInterrupt as interrupt:
-            if isinstance(interrupt.cause, NodeCrashed):
-                return  # the emitter dies with its node; silence is the signal
-            raise
-
-    def _sweep(self) -> Generator:
-        system = self.system
-        env = system.env
-        period = self.period
-        try:
-            while not system.state.done:
-                yield env.sleep(period)
-                self._sweep_round(env.now)
-        except ProcessInterrupt as interrupt:
-            if isinstance(interrupt.cause, NodeCrashed):
-                # Commit replication only: the sweep shares the primary's
-                # node and dies with it; the standby-side watcher is the
-                # detector from here on.
-                return
-            raise
+        last_heard = self.last_heard
+        beating = self.beating
+        while not state.done:
+            yield env.sleep(period)
+            now = env.now
+            chaos = env.chaos
+            dead = chaos.dead_nodes if chaos is not None else ()
+            if dead:
+                beating.difference_update(dead)
+            for node in beating:
+                last_heard[node] = now
+            stats.ft_heartbeats += len(beating)
+            if self.sweep_node not in dead:
+                self._sweep_round(now)
+            if self.replicated and self.standby_node not in dead:
+                self._watch_round(now)
 
     def _sweep_round(self, now: float) -> None:
         for node, heard in self.last_heard.items():
@@ -158,39 +156,25 @@ class FailureDetector:
             if now - heard > self.suspicion_timeout:
                 self._declare(node)
 
-    def _watch_primary(self) -> Generator:
+    def _watch_round(self, now: float) -> None:
         """Standby-side watcher (commit replication only).
 
         Monitors the primary's heartbeats; after promotion — when
-        :attr:`commit_node` has become this watcher's own node — it
-        takes over the ordinary sweep duty from the dead primary's
-        sweep.
+        :attr:`commit_node` has become the watcher's own node — it
+        plays the survivors' sweep instead.
         """
-        system = self.system
-        env = system.env
-        period = self.period
-        try:
-            while not system.state.done:
-                yield env.sleep(period)
-                now = env.now
-                if self.commit_node == self.standby_node:
-                    # Promoted: this process is the survivors' sweep now.
-                    self._sweep_round(now)
-                    continue
-                if self.commit_node in self.declared:
-                    continue
-                if now - self.last_heard[self.commit_node] <= self.suspicion_timeout:
-                    continue
-                if not self._quorum_agrees(now):
-                    continue
-                if not self._is_lowest_standby_survivor():
-                    continue
-                self._declare(self.commit_node)
-        except ProcessInterrupt as interrupt:
-            if isinstance(interrupt.cause, NodeCrashed):
-                # Our own node died; the commit-side sweep declares it.
-                return
-            raise
+        if self.commit_node == self.standby_node:
+            self._sweep_round(now)
+            return
+        if self.commit_node in self.declared:
+            return
+        if now - self.last_heard[self.commit_node] <= self.suspicion_timeout:
+            return
+        if not self._quorum_agrees(now):
+            return
+        if not self._is_lowest_standby_survivor():
+            return
+        self._declare(self.commit_node)
 
     def _quorum_agrees(self, now: float) -> bool:
         """Majority-of-survivors gate on declaring the primary.
@@ -303,7 +287,7 @@ class FailureDetector:
 class SpecForFailureDetector(FailureDetector):
     """Failure detection for the ``speculative_for`` runtime.
 
-    Same heartbeat emitters, sweep, and standby-side watcher as the
+    Same detector clock, sweep, and standby-side watcher as the
     pipeline detector — only the declaration differs.  The reservation
     runtime has no try-commit unit (nothing is categorically fatal
     besides losing the service without a standby), no recovery barriers

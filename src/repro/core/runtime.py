@@ -220,8 +220,8 @@ class DSMTXSystem:
         self.failure_detector = (
             FailureDetector(self) if config.fault_tolerance else None
         )
-        #: Simulation processes hosted on each node (unit main loops,
-        #: heartbeat emitters): the kill set of a node-crash fault.
+        #: Simulation processes hosted on each node (the unit main
+        #: loops): the kill set of a node-crash fault.
         self._node_processes: dict[int, list] = {}
 
         self.total_iterations = 0
@@ -561,6 +561,12 @@ class DSMTXSystem:
         if self.env.chaos is not None:
             self.env.chaos.bind_system(self)
         self.env.run(until=self.env.all_of(processes))
+        # The speculative caches die with the run: their pages are
+        # copies nothing reads any more, and a finished system is
+        # cyclic garbage that may outlive the run by many collections.
+        for worker in self.workers:
+            worker.space.reprotect_all()
+        self.try_commit.shadow.reprotect_all()
         elapsed = self.env.now - start
         self.stats.elapsed_seconds = elapsed
         return RunResult(

@@ -135,7 +135,7 @@ class RunStats:
     failures: list = field(default_factory=list)
     #: Epoch checkpoints taken by the commit unit (fault-tolerant mode).
     checkpoints: list = field(default_factory=list)
-    #: Heartbeats sent by node heartbeat emitters (fault-tolerant mode).
+    #: Node heartbeats recorded by the detector clock (fault-tolerant mode).
     ft_heartbeats: int = 0
     #: Cumulative acks sent by reliable-transport ingest boxes.
     ft_acks: int = 0

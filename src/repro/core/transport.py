@@ -16,12 +16,21 @@ number, and the destination's inbox is fronted by an :class:`IngestBox`:
   management path telling the sender everything up to the highest
   in-order sequence number arrived.
 * **retransmit** — the sender keeps unacknowledged frames and re-sends
-  on a per-frame timer with capped exponential backoff
+  each one whose timeout expires, with capped exponential backoff
   (:attr:`ClusterSpec.retransmit_timeout_s` /
   :attr:`~ClusterSpec.retransmit_backoff` /
   :attr:`~ClusterSpec.retransmit_timeout_cap_s`), giving up after
   :attr:`~ClusterSpec.max_retransmits` attempts (by which point the
-  failure detector has declared the destination dead).
+  failure detector has declared the destination dead).  Most frames are
+  acked long before their first timeout, so first attempts do not get
+  one timer each: a link queues ``(deadline, key, frame)`` per frame and
+  keeps a single event armed for the oldest, under the queue key that
+  frame's own timer would have taken
+  (:meth:`~repro.sim.engine.Environment.reserve_key`).  When it fires,
+  the head is handled, already-acked frames behind it are dropped, and
+  the event re-arms for the next — so every timeout that matters fires
+  in the FIFO slot a per-frame timer would have.  Retries after the
+  first attempt are rare and keep a timer per frame.
 
 Acks and retransmissions travel the *management path*: a latency-only
 delivery that bypasses NIC serialization, modelling the dedicated
@@ -35,6 +44,7 @@ paths pay a single ``is None`` check (the obs-layer pattern).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any
 
 from repro.cluster.interconnect import _Delivery
@@ -47,12 +57,17 @@ __all__ = ["ReliableTransport", "IngestBox"]
 class _SenderLink:
     """Sender-side state of one directed (src_tid, dst_tid) link."""
 
-    __slots__ = ("next_seq", "unacked")
+    __slots__ = ("next_seq", "unacked", "pending", "fire")
 
-    def __init__(self) -> None:
+    def __init__(self, transport: "ReliableTransport") -> None:
         self.next_seq = 0
         #: seq -> (frame, wire_bytes); present until cumulatively acked.
         self.unacked: dict[int, tuple[Frame, int]] = {}
+        #: First-attempt timeouts, oldest first: (deadline, key, frame).
+        #: While non-empty, one event is armed for the head.
+        self.pending: deque = deque()
+        #: Callback of that armed event.
+        self.fire = lambda _event: transport._on_link_timer(self)
 
 
 class IngestBox:
@@ -196,10 +211,10 @@ class ReliableTransport:
 
     def stamp(self, src_tid: int, dst_tid: int, envelope: Any, wire_bytes: int) -> Frame:
         """Wrap ``envelope`` in the next sequence-numbered frame on the
-        (src, dst) link and arm its retransmit timer."""
+        (src, dst) link and queue its first retransmit timeout."""
         link = self._links.get((src_tid, dst_tid))
         if link is None:
-            link = self._links[(src_tid, dst_tid)] = _SenderLink()
+            link = self._links[(src_tid, dst_tid)] = _SenderLink(self)
         seq = link.next_seq
         link.next_seq = seq + 1
         if self.integrity:
@@ -209,8 +224,26 @@ class ReliableTransport:
         else:
             frame = Frame(src_tid, dst_tid, seq, envelope)
         link.unacked[seq] = (frame, wire_bytes)
-        self._arm_timer(link, frame, self._rto, 0)
+        env = self.env
+        deadline = env.now + self._rto
+        key = env.reserve_key()
+        pending = link.pending
+        pending.append((deadline, key, frame))
+        if len(pending) == 1:
+            env.schedule_at(deadline, key, link.fire)
         return frame
+
+    def _on_link_timer(self, link: _SenderLink) -> None:
+        """The head frame's first timeout: handle it, skip the frames
+        acked meanwhile, and re-arm for the next one in its own slot."""
+        pending = link.pending
+        self._on_timer(link, pending.popleft()[2], self._rto, 0)
+        unacked = link.unacked
+        while pending and pending[0][2].seq not in unacked:
+            pending.popleft()
+        if pending:
+            deadline, key, _frame = pending[0]
+            self.env.schedule_at(deadline, key, link.fire)
 
     def _arm_timer(self, link: _SenderLink, frame: Frame, timeout: float, attempt: int) -> None:
         self.env.sleep(timeout).callbacks.append(

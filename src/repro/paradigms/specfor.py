@@ -541,8 +541,8 @@ class SpecForSystem:
         #: Worker ids still alive (node failures remove entries; the
         #: round scheduler re-partitions batches over these).
         self.live_workers: list[int] = list(range(workers))
-        #: Simulation processes hosted on each node (unit main loops,
-        #: heartbeat emitters): the kill set of a node-crash fault.
+        #: Simulation processes hosted on each node (the unit main
+        #: loops): the kill set of a node-crash fault.
         self._node_processes: dict[int, list] = {}
         #: Reliable ack/retransmit transport; ``None`` keeps the
         #: fault-free fast path untouched (a single is-None check).

@@ -439,12 +439,16 @@ def render_comparison(results: list[BenchResult], previous: Optional[dict]) -> s
 def run_guard(baseline_path: Path, repeats: int = 3,
               max_regression: float = GUARD_MAX_REGRESSION) -> int:
     """Perf-drift guard: time the :data:`GUARD_ENTRIES` at full size and
-    fail (exit 1) if either regresses more than ``max_regression`` in
-    events/sec vs. the committed baseline file.
+    fail (exit 1) if any takes more than ``max_regression`` longer —
+    recorded over current best wall seconds below ``1 - max_regression``
+    — than its ``wall_seconds`` in the committed baseline file.
 
-    The threshold is deliberately loose (CI machines are noisy); the
-    guard exists to catch order-of-magnitude slips — a hot path falling
-    off its fast path — not single-digit drift.
+    Wall time per entry, not events/sec: an entry's simulated work is
+    fixed, while its event count is an implementation detail — a change
+    that drops no-op events does the same work faster and must not read
+    as a slowdown.  The threshold is deliberately loose (CI machines are
+    noisy); the guard exists to catch order-of-magnitude slips — a hot
+    path falling off its fast path — not single-digit drift.
     """
     previous = load_previous(baseline_path)
     if previous is None:
@@ -454,24 +458,21 @@ def run_guard(baseline_path: Path, repeats: int = 3,
     baseline = previous.get("benchmarks", {})
     failures = []
     for name in GUARD_ENTRIES:
-        recorded = (baseline.get(name) or {}).get("events_per_sec")
+        recorded = (baseline.get(name) or {}).get("wall_seconds")
         if not recorded:
-            print(f"perf guard: baseline has no events_per_sec for {name}",
+            print(f"perf guard: baseline has no wall_seconds for {name}",
                   file=sys.stderr)
             return 2
         bench = MATRIX[name]
         best = float("inf")
-        events = None
         for _ in range(max(1, repeats)):
             begin = time.perf_counter()
-            got_events, _sim = bench(False)
+            bench(False)
             best = min(best, time.perf_counter() - begin)
-            events = got_events
-        rate = events / best
-        ratio = rate / recorded
+        ratio = recorded / best
         verdict = "ok" if ratio >= 1.0 - max_regression else "REGRESSED"
-        print(f"  {name:<20} baseline {recorded:>12,.0f} ev/s  "
-              f"current {rate:>12,.0f} ev/s  {ratio:5.2f}x  {verdict}",
+        print(f"  {name:<20} baseline {recorded:8.3f} s  "
+              f"current {best:8.3f} s  {ratio:5.2f}x  {verdict}",
               file=sys.stderr)
         if verdict != "ok":
             failures.append(name)

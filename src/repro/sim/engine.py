@@ -477,6 +477,34 @@ class Environment:
         heappush(self._queue, (self._now, eid + _P1, event))
         return event
 
+    def reserve_key(self) -> int:
+        """Reserve the queue slot of an event created *now*.
+
+        Returns the heap key the next scheduled event would take.  An
+        event pushed later under it by :meth:`schedule_at` fires in the
+        exact FIFO position it would have held had it been scheduled at
+        reservation time — which lets a caller keep one armed event for
+        a whole series of would-be timers without reordering anything.
+        """
+        self._eid = eid = self._eid + 1
+        return eid + _P1
+
+    def schedule_at(
+        self, when: float, key: int, callback: Callable[[Event], None]
+    ) -> Event:
+        """Schedule ``callback`` at absolute time ``when`` under a key
+        from :meth:`reserve_key`.  Each key must be used at most once."""
+        if when < self._now:
+            raise SimulationError(f"schedule_at({when}) is in the past (now={self._now})")
+        event = Event.__new__(Event)
+        event.env = self
+        event.callbacks = [callback]
+        event._value = None
+        event._ok = True
+        event._defused = True
+        heappush(self._queue, (when, key, event))
+        return event
+
     def add_step_listener(self, listener: Callable[[Event], None]) -> None:
         """Register ``listener`` to observe every processed event."""
         self._step_listeners.append(listener)

@@ -24,7 +24,13 @@ Every episode is seed-deterministic: the same plan reproduces the
 same run digest, corruption and repair included.
 """
 
+import enum
+import math
+import zlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import memory_fingerprint, run_digest
 from repro.chaos import (
@@ -36,7 +42,17 @@ from repro.chaos import (
 )
 from repro.core import DSMTXSystem, SystemConfig
 from repro.core.config import PipelineConfig
+from repro.core.integrity import (
+    canonical_encoding,
+    page_digest,
+    payload_checksum,
+    space_digest,
+)
+from repro.core.messages import BatchEnvelope, ControlEnvelope
 from repro.errors import ClusterFailedError
+from repro.memory import AddressSpace
+from repro.memory.layout import WORDS_PER_PAGE
+from repro.memory.page import Page
 from repro.workloads.base import ParallelPlan
 from tests.core.toys import ToyDoall
 
@@ -329,3 +345,125 @@ def test_plain_ft_run_is_untouched_by_the_feature():
             system.env.events_processed,
         ))
     assert fingerprints[0] == fingerprints[1]
+
+
+# -- properties -------------------------------------------------------------------
+
+
+def reference_encoding(obj) -> bytes:
+    """The wire format of ``repro.core.integrity``, written the obvious
+    recursive way: the specification the fast encoder must match."""
+    if obj is None:
+        return b"n"
+    if obj is True:
+        return b"T"
+    if obj is False:
+        return b"F"
+    if isinstance(obj, int):
+        return b"i%d;" % obj
+    if isinstance(obj, float):
+        return b"f" + repr(obj).encode("ascii") + b";"
+    if isinstance(obj, str):
+        data = obj.encode("utf-8")
+        return b"s%d:" % len(data) + data
+    if isinstance(obj, (bytes, bytearray)):
+        return b"b%d:" % len(obj) + bytes(obj)
+    if isinstance(obj, (tuple, list)):
+        return b"(" + b"".join(reference_encoding(item) for item in obj) + b")"
+    if isinstance(obj, dict):
+        return b"{" + b"".join(
+            reference_encoding(key) + reference_encoding(obj[key])
+            for key in sorted(obj)) + b"}"
+    if isinstance(obj, Page):
+        return b"P%d[" % obj.number + b"".join(
+            reference_encoding(index) + reference_encoding(value)
+            for index, value in obj.items()) + b"]"
+    return b"?" + type(obj).__name__.encode("ascii") + b";"
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 7
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(1 << 200), max_value=1 << 200),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan]),
+    st.text(),
+    st.binary(),
+    st.binary().map(bytearray),
+    st.sampled_from(list(_Level)),
+    st.just(object()),
+)
+
+
+@st.composite
+def _pages(draw, values=_scalars):
+    words = draw(st.dictionaries(
+        st.integers(min_value=0, max_value=WORDS_PER_PAGE - 1), values,
+        max_size=24))
+    return Page(draw(st.integers(min_value=0, max_value=1 << 40)), words)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.builds(ControlEnvelope, st.text(max_size=12), st.integers(),
+                  st.integers(), children),
+        st.builds(BatchEnvelope, st.text(max_size=12), st.integers(),
+                  st.integers(), st.lists(children, max_size=4).map(tuple),
+                  st.integers()),
+        st.dictionaries(st.integers(), children, max_size=4),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    )
+
+
+_payloads = st.recursive(_scalars | _pages(), _containers, max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads)
+def test_encoder_matches_the_reference_wire_format(payload):
+    expected = reference_encoding(payload)
+    assert canonical_encoding(payload) == expected
+    assert payload_checksum(payload) == zlib.crc32(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_pages(st.integers() | st.floats() | st.text()), max_size=6))
+def test_page_and_space_digests_match_the_reference(pages):
+    space = AddressSpace("digest")
+    for page in pages:
+        assert page_digest(page) == zlib.crc32(reference_encoding(page))
+        space.install_page(page)
+    expected = b"".join(
+        reference_encoding(page) for page in space.iter_pages()
+        if page.present_mask)
+    assert space_digest(space) == zlib.crc32(expected)
+
+
+#: Fault-free twin per worker count, shared across examples.
+_twins: dict = {}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+@settings(max_examples=4, deadline=None)
+@given(probability=st.floats(min_value=0.0, max_value=0.25),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_any_corruption_rate_commits_the_fault_free_memory(
+        workers, probability, seed):
+    # Worker, try-commit, commit and standby units, one per node.
+    cores = workers + 3
+    if workers not in _twins:
+        twin, _ = build(total_cores=cores)
+        _twins[workers] = (twin, twin.run())
+    system, _engine = build(corruption_plan(probability, seed),
+                            total_cores=cores)
+    result = system.run()
+    assert result.stats.ft_corruptions_unrepairable == 0
+    assert_same_results(system, result, _twins[workers])

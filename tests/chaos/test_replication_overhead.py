@@ -19,6 +19,8 @@ Three claims, strongest first:
    disabled-path overhead without comparing two noisy equals).
 """
 
+import gc
+import statistics
 import time
 
 from repro.core import DSMTXSystem, SystemConfig
@@ -100,18 +102,32 @@ def test_standby_existence_does_not_perturb_the_plain_ft_run():
 
 
 def test_disabled_wall_clock_overhead_under_10_percent():
-    def best_of(replicated, repeats=3):
-        best = float("inf")
-        for _ in range(repeats):
-            system = _build(replicated)
-            begin = time.perf_counter()
-            system.run()
-            best = min(best, time.perf_counter() - begin)
-        return best
+    def timed(replicated):
+        system = _build(replicated)
+        # Start each run from an empty collector: otherwise the
+        # process's allocation cadence can land every full collection
+        # on the same side.
+        gc.collect()
+        begin = time.perf_counter()
+        system.run()
+        return time.perf_counter() - begin
 
-    disabled = best_of(False)
-    enabled = best_of(True)
+    # One untimed warm-up run of each side, then back-to-back pairs
+    # that alternate which side goes first.  The two sides take about
+    # the same time (the replicated run simulates about 2% more
+    # events), while a shared host's speed can drift by far more than
+    # 10% within a second.  So each pair is compared on its own and the
+    # median pair ratio is the overhead: a best-of per side lets one
+    # fast stretch of the host, landing on one side, decide.
+    timed(False)
+    timed(True)
+    ratios = []
+    for repeat in range(20):
+        times = {}
+        for replicated in (False, True) if repeat % 2 == 0 else (True, False):
+            times[replicated] = timed(replicated)
+        ratios.append(times[False] / times[True])
     # The replicated run does strictly more work (checkpoints, stream,
     # one more unit process), so the disabled hooks' cost is bounded by
     # any margin the replicated run needs.
-    assert disabled <= enabled * 1.10, (disabled, enabled)
+    assert statistics.median(ratios) <= 1.10, sorted(ratios)

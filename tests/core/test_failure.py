@@ -25,15 +25,15 @@ def test_silent_node_is_declared_within_the_suspicion_timeout():
     detector = system.failure_detector
     detector.start()
     env = system.env
-    # Kill node 0's heartbeat emitter: silence without any other change.
-    (emitter,) = system.processes_on_node(0)
-    cause = NodeCrashed(0)
+    # Take node 0 out of the clock's beat set: silence without any
+    # other change (its units keep running).
+    assert 0 in detector.beating
 
-    def killer():
+    def silencer():
         yield env.timeout(0.001)
-        emitter.interrupt(cause)
+        detector.beating.discard(0)
 
-    env.process(killer())
+    env.process(silencer())
     deadline = 0.001 + detector.suspicion_timeout + 3 * detector.period
     env.run(until=env.timeout(deadline))
 
@@ -53,10 +53,11 @@ def test_silent_node_is_declared_within_the_suspicion_timeout():
 
 
 def test_heartbeats_from_a_crashed_node_stop_at_crash_time():
-    """A dead node must fall silent at the instant of the crash: its
-    emitter is interrupted with everything else on the node, so its
-    last-heard time freezes and the suspicion clock starts from there.
-    An emitter that kept beating would mask the failure forever."""
+    """A dead node must fall silent at the instant of the crash: the
+    detector clock stops beating for it along with everything else on
+    the node, so its last-heard time freezes and the suspicion clock
+    starts from there.  A node that kept beating would mask the
+    failure forever."""
     from repro.chaos import ChaosEngine, FaultPlan, NodeCrash
 
     system = build(cores=12)  # three nodes: a survivor node beside the victim
@@ -80,6 +81,25 @@ def test_heartbeats_from_a_crashed_node_stop_at_crash_time():
     )
     # And the silence was eventually declared.
     assert system.state.failed_nodes == {0}
+
+
+def test_one_detector_clock_serves_every_node():
+    from repro.chaos import ChaosEngine, FaultPlan, NodeCrash
+
+    system = build(cores=12)
+    detector = system.failure_detector
+    ChaosEngine(FaultPlan(faults=(NodeCrash(node=0, at_s=1e-3),))).attach(
+        system.env).bind_system(system)
+    detector.start()
+    env = system.env
+    assert [p.name for p in env._processes] == ["failure-detector"]
+    # No node hosts a detector process: a crash silences the node's
+    # beats through the clock's own dead-node check.
+    assert not any(system.processes_on_node(n) for n in detector.tids_by_node)
+    env.run(until=env.timeout(2e-3))
+    assert 0 not in detector.beating and detector.beating
+    assert detector.last_heard[0] < 1e-3
+    assert all(detector.last_heard[n] > 1e-3 for n in detector.beating)
 
 
 def test_healthy_nodes_are_never_suspected():

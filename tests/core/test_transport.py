@@ -154,6 +154,23 @@ def test_ack_clears_the_retransmit_buffer():
     assert not transport._links[(0, 5)].unacked
 
 
+def test_first_timeouts_share_one_armed_timer_per_link():
+    system = ft_system()
+    transport = system.transport
+    env = system.env
+    transport.send_ack = lambda src, dst, upto: None  # acks never arrive
+    queued = len(env._queue)
+    frames = [transport.stamp(0, 5, f"p{i}", 64) for i in range(4)]
+    assert len(env._queue) == queued + 1  # one armed event, not four
+    # Frames 0, 1 and 3 are acked in time; only frame 2 times out.
+    transport._on_ack(0, 5, 1)
+    del transport._links[(0, 5)].unacked[frames[3].seq]
+    spec = system.cluster
+    env.run(until=env.timeout(spec.retransmit_timeout_s * 1.5))
+    assert system.stats.ft_retransmits == 1
+    assert not transport._links[(0, 5)].pending
+
+
 def test_forget_units_stops_retransmits_for_dead_links():
     system = ft_system()
     transport = system.transport

@@ -55,6 +55,54 @@ def _crash_commit_node_plan():
     return FaultPlan(faults=(NodeCrash(node=6, at_s=0.036754),), seed=11)
 
 
+def _heartbeat_tick(k):
+    """The failure detector's k-th heartbeat instant: the period
+    accumulated k times in float, exactly as the detector's clock
+    advances from a run that starts at 0, so a crash scheduled here
+    lands on the tick itself."""
+    from repro.cluster.spec import DEFAULT_CLUSTER
+
+    at = 0.0
+    for _ in range(k):
+        at += DEFAULT_CLUSTER.heartbeat_period_s
+    return at
+
+
+def _replicated_crash_plan(node, at_s):
+    def plan():
+        from repro.chaos import FaultPlan, NodeCrash
+
+        return FaultPlan(faults=(NodeCrash(node=node, at_s=at_s),), seed=5)
+
+    return plan
+
+
+def _detector_edge_configs():
+    """Failure-detector edge cases on the replicated, checksummed crc32
+    layout (spread placement at 8 cores: workers on nodes 0-4, commit
+    on node 6, standby on node 7).  A crash exactly on a heartbeat tick
+    silences the victim's beat at that very tick (its last-heard time
+    is the previous tick); the standby-node crash kills the watcher and
+    degrades the run to unreplicated."""
+    kwargs = {"total_cores": 8, "fault_tolerance": True,
+              "commit_replication": True, "integrity": True,
+              "placement": "spread", "batch_bytes": 64,
+              "checkpoint_interval_mtxs": 8}
+    return {
+        "crc32_tickcrash_commit_8c": (
+            lambda: _crc32(iterations=96), "dsmtx",
+            dict(kwargs, chaos_plan=_replicated_crash_plan(
+                6, _heartbeat_tick(700)))),
+        "crc32_tickcrash_worker_8c": (
+            lambda: _crc32(iterations=96), "dsmtx",
+            dict(kwargs, chaos_plan=_replicated_crash_plan(
+                0, _heartbeat_tick(400)))),
+        "crc32_standbycrash_8c": (
+            lambda: _crc32(iterations=96), "dsmtx",
+            dict(kwargs, chaos_plan=_replicated_crash_plan(7, 0.02512))),
+    }
+
+
 def _irregular(name, iterations=32, density=0.7):
     def factory():
         from repro.workloads import ALL_BENCHMARKS
@@ -153,6 +201,7 @@ CONFIGS = {
                            "batch_bytes": 64, "checkpoint_interval_mtxs": 8,
                            "chaos_plan": _crash_commit_node_plan}),
 }
+CONFIGS.update(_detector_edge_configs())
 CONFIGS.update(_specfor_configs())
 CONFIGS.update(_specfor_ft_configs())
 

@@ -217,6 +217,33 @@ def test_sleep_negative_delay_rejected():
         env.sleep(-0.5)
 
 
+def test_reserved_key_fires_in_its_reservation_slot():
+    # An event scheduled later under a reserved key fires exactly where
+    # a timer created at reservation time would have: after same-time
+    # events created before the reservation, before those created after.
+    env = Environment()
+    order = []
+    env.sleep(1.0).callbacks.append(lambda _e: order.append("before"))
+    key = env.reserve_key()
+    env.sleep(1.0).callbacks.append(lambda _e: order.append("after"))
+
+    def arm_late():
+        yield env.sleep(0.5)
+        env.schedule_at(1.0, key, lambda _e: order.append("reserved"))
+
+    env.process(arm_late())
+    env.run()
+    assert order == ["before", "reserved", "after"]
+    assert env.now == 1.0
+
+
+def test_schedule_at_rejects_the_past():
+    env = Environment()
+    env.run(until=2.0)
+    with pytest.raises(SimulationError):
+        env.schedule_at(1.0, env.reserve_key(), lambda _e: None)
+
+
 def test_sleep_and_timeout_share_fifo_order():
     # sleep() is an allocation fast path, not a different event kind:
     # it must interleave with timeout() in strict creation order.
