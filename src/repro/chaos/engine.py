@@ -104,8 +104,9 @@ class ChaosEngine:
                 raise ChaosError(
                     f"crash scheduled in the past ({fault.at_s} < now={env.now})"
                 )
-            env.sleep(fault.at_s - env.now).callbacks.append(
-                lambda _event, f=fault: self._execute_crash(f)
+            env.call_later(
+                fault.at_s - env.now,
+                lambda _entry, f=fault: self._execute_crash(f),
             )
         for fault in self._state_corruptions:
             if fault.at_s < env.now:
@@ -113,8 +114,9 @@ class ChaosEngine:
                     f"state corruption scheduled in the past "
                     f"({fault.at_s} < now={env.now})"
                 )
-            env.sleep(fault.at_s - env.now).callbacks.append(
-                lambda _event, f=fault: self._execute_state_corruption(f)
+            env.call_later(
+                fault.at_s - env.now,
+                lambda _entry, f=fault: self._execute_state_corruption(f),
             )
         return self
 

@@ -18,12 +18,12 @@ Intra-node transfers use the shared-memory parameters of the
 A transfer is split into a synchronous **transmit phase**, executed in
 the sending process (eager-protocol semantics: the sender's call returns
 once the data has left its hands), and an asynchronous **delivery
-phase** that the interconnect runs as its own process.  Because the
-transmit phase of messages from one sender is serialized — by the NIC
-resource across nodes, by program order within a process — and the
-propagation latency per (src, dst) pair is constant, deliveries between
-a fixed pair of cores arrive in the order they were sent, which gives
-channels FIFO semantics for free.
+phase** that the interconnect runs as a detached chain of timer
+callbacks.  Because the transmit phase of messages from one sender is
+serialized — by the NIC resource across nodes, by program order within
+a process — and the propagation latency per (src, dst) pair is
+constant, deliveries between a fixed pair of cores arrive in the order
+they were sent, which gives channels FIFO semantics for free.
 """
 
 from __future__ import annotations
@@ -64,15 +64,17 @@ class TransferStats:
 
 
 class _Delivery:
-    """One in-flight message, driven as a chain of event callbacks.
+    """One in-flight message, driven as a chain of timer and event
+    callbacks.
 
     Behaviourally identical to running :meth:`Interconnect._delivery_phase`
-    as its own process — same timeouts, same NIC receive contention, same
+    as its own process — same delays, same NIC receive contention, same
     hand-off instant — but without the process machinery: no Initialize
-    event, no generator frame, no process-completion event.  On the
-    batched-queue fast path that removes two queue trips per envelope,
-    and with a (``mailbox``, ``payload``) destination the final hand-off
-    is a :meth:`~repro.sim.resources.Store.put_nowait`, removing the
+    event, no generator frame, no process-completion event.  The latency
+    and receive-serialization hops are timer entries
+    (:meth:`~repro.sim.engine.Environment.call_later`), not events.  With
+    a (``mailbox``, ``payload``) destination the final hand-off is a
+    :meth:`~repro.sim.resources.Store.put_nowait`, removing the
     per-message put-acknowledge event and deliver closure as well.
     """
 
@@ -102,9 +104,9 @@ class _Delivery:
         # A zero latency still takes one trip through the event queue
         # (as the old delivery process's Initialize event did), so the
         # hand-off never happens synchronously inside the sender.
-        env.sleep(latency).callbacks.append(self._after_latency)
+        env.call_later(latency, self._after_latency)
 
-    def _after_latency(self, _event: Event) -> None:
+    def _after_latency(self, _entry: Any) -> None:
         node = self.dst_node
         if node is None:
             self._finish()
@@ -117,11 +119,11 @@ class _Delivery:
     def _after_rx_grant(self, _event: Event) -> None:
         serialization = self.nbytes / self.bandwidth
         if serialization > 0:
-            self.env.sleep(serialization).callbacks.append(self._after_serialization)
+            self.env.call_later(serialization, self._after_serialization)
         else:
             self._after_serialization(_event)
 
-    def _after_serialization(self, _event: Event) -> None:
+    def _after_serialization(self, _entry: Any) -> None:
         self.dst_node.nic_rx.release(self._rx)
         self._finish()
 
@@ -205,7 +207,7 @@ class Interconnect:
             try:
                 serialization = nbytes / bandwidth
                 if serialization > 0:
-                    yield self.env.sleep(serialization)
+                    yield serialization
             finally:
                 src_node.nic_tx.release(tx)
             dst_node = self._node_of[dst_core]
@@ -215,7 +217,7 @@ class Interconnect:
             # Intra-node: the sender pays the memcpy into the shared buffer.
             serialization = nbytes / bandwidth
             if serialization > 0:
-                yield self.env.sleep(serialization)
+                yield serialization
             dst_node = None
         if verdict != 1:
             _Delivery(self.env, dst_node, nbytes, latency, bandwidth, mailbox, payload, deliver)
@@ -251,13 +253,13 @@ class Interconnect:
             yield tx
             try:
                 if serialization > 0:
-                    yield self.env.sleep(serialization)
+                    yield serialization
             finally:
                 src_node.nic_tx.release(tx)
         else:
             # Intra-node: the sender pays the memcpy into the shared buffer.
             if serialization > 0:
-                yield self.env.sleep(serialization)
+                yield serialization
 
     def _delivery_phase(
         self,
@@ -269,7 +271,7 @@ class Interconnect:
     ) -> Generator[Event, Any, None]:
         latency, bandwidth = self.spec.wire_parameters(src_core, dst_core)
         if latency > 0:
-            yield self.env.sleep(latency)
+            yield float(latency)
         if inter_node:
             dst_node = self.machine.nodes[self.spec.node_of_core(dst_core)]
             dst_node.bytes_received += nbytes
@@ -278,7 +280,7 @@ class Interconnect:
             try:
                 serialization = nbytes / bandwidth
                 if serialization > 0:
-                    yield self.env.sleep(serialization)
+                    yield serialization
             finally:
                 dst_node.nic_rx.release(rx)
         if deliver is not None:

@@ -48,6 +48,9 @@ class MPI:
             for v, instructions in self.spec.mpi_variant_sender_instructions.items()
         }
         self._recv_cycles = self.spec.mpi_recv_instructions / ipc
+        # The flat core list: ranks are validated non-negative up front,
+        # so the hot paths skip Machine.core()'s bounds check.
+        self._cores = machine._cores
 
     def mailbox(self, src_rank: int, dst_rank: int, tag: Any = 0) -> Store:
         """The FIFO mailbox for (src, dst, tag), created on first use."""
@@ -81,9 +84,15 @@ class MPI:
         """
         if src_rank == dst_rank:
             raise CommunicationError(f"send to self (rank {src_rank}) is not supported")
-        obs = self.env.obs
-        start = self.env.now if obs is not None else 0.0
-        core = self.machine.core(src_rank)
+        if src_rank < 0 or dst_rank < 0:
+            raise IndexError(f"core index out of range: {src_rank}, {dst_rank}")
+        wire_bytes = nbytes + ENVELOPE_BYTES
+        if wire_bytes < 0:
+            raise ValueError(f"negative transfer size: {wire_bytes}")
+        env = self.env
+        obs = env.obs
+        start = env.now if obs is not None else 0.0
+        core = self._cores[src_rank]
         yield from core.drain()
         yield core.compute(self._variant_cycles[variant])
         self.sent_count[variant] += 1
@@ -92,11 +101,6 @@ class MPI:
         # generator frame per message instead of two.  Must stay
         # behaviour-identical to Interconnect.send — edit both together.
         ic = self.interconnect
-        wire_bytes = nbytes + ENVELOPE_BYTES
-        if wire_bytes < 0:
-            raise ValueError(f"negative transfer size: {wire_bytes}")
-        if dst_rank < 0:
-            raise IndexError(f"core index out of range: {src_rank}, {dst_rank}")
         node_index_of = ic._node_index_of
         inter_node = node_index_of[src_rank] != node_index_of[dst_rank]
         stats = ic.stats
@@ -106,7 +110,7 @@ class MPI:
         if inter_node:
             stats.inter_node_bytes += wire_bytes
             latency, bandwidth = ic._inter
-            chaos = self.env.chaos
+            chaos = env.chaos
             if chaos is not None:
                 # Fault injection adjudicates inter-node traffic only;
                 # the sender-side costs below are paid regardless (the
@@ -128,7 +132,7 @@ class MPI:
             try:
                 serialization = wire_bytes / bandwidth
                 if serialization > 0:
-                    yield self.env.sleep(serialization)
+                    yield serialization
             finally:
                 src_node.nic_tx.release(tx)
             dst_node = ic._node_of[dst_rank]
@@ -138,12 +142,12 @@ class MPI:
             # Intra-node: the sender pays the memcpy into the shared buffer.
             serialization = wire_bytes / bandwidth
             if serialization > 0:
-                yield self.env.sleep(serialization)
+                yield serialization
             dst_node = None
         if verdict != 1:
-            _Delivery(self.env, dst_node, wire_bytes, latency, bandwidth, box, payload, None)
+            _Delivery(env, dst_node, wire_bytes, latency, bandwidth, box, payload, None)
             if verdict == 2:
-                _Delivery(self.env, dst_node, wire_bytes, latency, bandwidth, box, payload, None)
+                _Delivery(env, dst_node, wire_bytes, latency, bandwidth, box, payload, None)
         if obs is not None:
             obs.tracer.complete(
                 CAT_MPI_SEND, variant.value, PID_CLUSTER, src_rank, start,
@@ -170,9 +174,11 @@ class MPI:
         inbox has no single source, so ``src_rank`` may then be
         ``None`` (it only labels the trace span).
         """
+        if dst_rank < 0:
+            raise IndexError(f"core index {dst_rank} out of range")
         obs = self.env.obs
         start = self.env.now if obs is not None else 0.0
-        core = self.machine.core(dst_rank)
+        core = self._cores[dst_rank]
         yield from core.drain()
         box = mailbox if mailbox is not None else self.mailbox(src_rank, dst_rank, tag)
         payload = yield box.get()

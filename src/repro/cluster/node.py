@@ -4,12 +4,15 @@ A :class:`Core` is the execution resource a runtime unit (worker,
 try-commit unit, commit unit) is pinned to.  Computation is expressed in
 clock cycles or instructions; a core converts them to simulated time.
 
-To keep the event count low, cores support *deferred* accounting: cheap
-bookkeeping costs accumulate in a pending counter and are realized as a
-single timeout when the owning process next blocks (see
-:meth:`Core.drain`).  This changes nothing observable — the paper's
-runtime similarly only pays overheads on its own thread — but cuts the
-number of simulator events by an order of magnitude.
+Costs are realized as *bare delays*: :meth:`Core.compute` and
+:meth:`Core.drain` return seconds for the owning process to ``yield``,
+so a compute burst allocates no event.  To keep the event count low,
+cores also support *deferred* accounting: cheap bookkeeping costs
+accumulate in a pending counter and are realized as a single delay when
+the owning process next blocks (see :meth:`Core.drain`).  This changes
+nothing observable — the paper's runtime similarly only pays overheads
+on its own thread — but cuts the number of simulator events by an order
+of magnitude.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.cluster.spec import ClusterSpec
-from repro.sim import Environment, Event, Resource
+from repro.sim import Environment, Resource
 
 __all__ = ["Core", "Node", "Machine"]
 
@@ -45,15 +48,16 @@ class Core:
 
     # -- immediate costs -----------------------------------------------------
 
-    def compute(self, cycles: float) -> Event:
-        """Return an event realizing ``cycles`` of work right now."""
+    def compute(self, cycles: float) -> float:
+        """Return the delay realizing ``cycles`` of work right now; the
+        calling process yields it."""
         if cycles < 0:
             raise ValueError(f"negative cycle count: {cycles}")
         self.busy_cycles += cycles
-        return self.env.sleep(cycles / self._clock_hz)
+        return cycles / self._clock_hz
 
-    def execute_instructions(self, instructions: float) -> Event:
-        """Return an event realizing ``instructions`` of work right now."""
+    def execute_instructions(self, instructions: float) -> float:
+        """Return the delay realizing ``instructions`` of work right now."""
         return self.compute(instructions / self._ipc)
 
     # -- deferred costs --------------------------------------------------------
@@ -69,10 +73,10 @@ class Core:
         """Accumulate instruction cost to be realized at the next drain."""
         self.charge_cycles(instructions / self._ipc)
 
-    def drain(self) -> tuple[Event, ...]:
+    def drain(self) -> tuple[float, ...]:
         """Realize all pending cycles as simulated time.
 
-        Returns a tuple of zero or one timeouts; drive with
+        Returns a tuple of zero or one delays; drive with
         ``yield from core.drain()`` immediately before any blocking
         operation.  Returning a tuple instead of being a generator keeps
         the (very common) nothing-pending case free of generator
@@ -80,7 +84,7 @@ class Core:
         """
         if self.pending_cycles > 0.0:
             cycles, self.pending_cycles = self.pending_cycles, 0.0
-            return (self.env.sleep(cycles / self._clock_hz),)
+            return (cycles / self._clock_hz,)
         return ()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

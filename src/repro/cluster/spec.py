@@ -38,6 +38,12 @@ class MPIVariant(Enum):
     BSEND = "MPI_Bsend"
     ISEND = "MPI_Isend"
 
+    #: Members are singletons compared by identity, so the identity hash
+    #: is consistent with equality.  It replaces ``Enum.__hash__`` (a
+    #: Python-level ``hash(self._name_)``) on the per-message variant
+    #: lookups in :class:`~repro.cluster.mpi.MPI`.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class ClusterSpec:

@@ -131,11 +131,11 @@ class FailureDetector:
         env = system.env
         state = system.state
         stats = system.stats
-        period = self.period
+        period = float(self.period)
         last_heard = self.last_heard
         beating = self.beating
         while not state.done:
-            yield env.sleep(period)
+            yield period
             now = env.now
             chaos = env.chaos
             dead = chaos.dead_nodes if chaos is not None else ()

@@ -31,6 +31,7 @@ class SystemState:
     """Control state: mode, recovery epoch, and iteration restart base."""
 
     def __init__(self) -> None:
+        #: Also sets the ``in_recovery`` and ``done`` flags (see ``mode``).
         self.mode = RunMode.RUN
         self.epoch = 0
         #: First iteration of the current epoch (workers schedule
@@ -65,12 +66,19 @@ class SystemState:
         self.failed_nodes: set[int] = set()
 
     @property
-    def in_recovery(self) -> bool:
-        return self.mode == RunMode.RECOVERY
+    def mode(self) -> str:
+        """The current :class:`RunMode`."""
+        return self._mode
 
-    @property
-    def done(self) -> bool:
-        return self.mode == RunMode.DONE
+    @mode.setter
+    def mode(self, mode: str) -> None:
+        # ``in_recovery`` and ``done`` are plain attributes, derived
+        # here on every transition: units poll them at every MTX
+        # boundary and wire hop, where a property's string compare
+        # showed in the profile.
+        self._mode = mode
+        self.in_recovery = mode == RunMode.RECOVERY
+        self.done = mode == RunMode.DONE
 
     def begin_draining(self, misspec_iteration: int) -> None:
         """Start the pre-recovery drain (commit unit only)."""

@@ -24,11 +24,11 @@ number, and the destination's inbox is fronted by an :class:`IngestBox`:
   failure detector has declared the destination dead).  Most frames are
   acked long before their first timeout, so first attempts do not get
   one timer each: a link queues ``(deadline, key, frame)`` per frame and
-  keeps a single event armed for the oldest, under the queue key that
+  keeps a single timer armed for the oldest, under the queue key that
   frame's own timer would have taken
   (:meth:`~repro.sim.engine.Environment.reserve_key`).  When it fires,
   the head is handled, already-acked frames behind it are dropped, and
-  the event re-arms for the next — so every timeout that matters fires
+  the timer re-arms for the next — so every timeout that matters fires
   in the FIFO slot a per-frame timer would have.  Retries after the
   first attempt are rare and keep a timer per frame.
 
@@ -64,10 +64,10 @@ class _SenderLink:
         #: seq -> (frame, wire_bytes); present until cumulatively acked.
         self.unacked: dict[int, tuple[Frame, int]] = {}
         #: First-attempt timeouts, oldest first: (deadline, key, frame).
-        #: While non-empty, one event is armed for the head.
+        #: While non-empty, one timer is armed for the head.
         self.pending: deque = deque()
-        #: Callback of that armed event.
-        self.fire = lambda _event: transport._on_link_timer(self)
+        #: Callback of that armed timer.
+        self.fire = lambda _entry: transport._on_link_timer(self)
 
 
 class IngestBox:
@@ -246,8 +246,8 @@ class ReliableTransport:
             self.env.schedule_at(deadline, key, link.fire)
 
     def _arm_timer(self, link: _SenderLink, frame: Frame, timeout: float, attempt: int) -> None:
-        self.env.sleep(timeout).callbacks.append(
-            lambda _event: self._on_timer(link, frame, timeout, attempt)
+        self.env.call_later(
+            timeout, lambda _entry: self._on_timer(link, frame, timeout, attempt)
         )
 
     def _on_timer(self, link: _SenderLink, frame: Frame, timeout: float, attempt: int) -> None:

@@ -360,11 +360,17 @@ class AddressSpace:
                 check_word_aligned(address)
         pages = self.pages
         touched = set()
+        page_no = -1
+        page = None
         for address, value in writes:
-            page_no = address >> PAGE_SHIFT
-            page = pages.get(page_no)
-            if page is None:
-                page = self.get_page(page_no)
+            # Runs of writes to one page (a sorted write set) share its
+            # lookup.
+            if address >> PAGE_SHIFT != page_no:
+                page_no = address >> PAGE_SHIFT
+                page = pages.get(page_no)
+                if page is None:
+                    page = self.get_page(page_no)
+                touched.add(page)
             index = (address & PAGE_MASK) >> WORD_SHIFT
             page.words[index] = value
             if not page.dirty_mask:
@@ -372,9 +378,8 @@ class AddressSpace:
             bit = 1 << index
             page.dirty_mask |= bit
             page.present_mask |= bit
-            touched.add(page_no)
-        for page_no in touched:
-            pages[page_no].bump_version()
+        for page in touched:
+            page.bump_version()
 
     def apply_blocks(self, blocks: Iterable[Tuple[int, Sequence]]) -> int:
         """Apply ordered ``(address, values)`` run-length blocks.

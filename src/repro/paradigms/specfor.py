@@ -422,8 +422,7 @@ def speculative_for(
     replica = AddressSpace("specfor.ref.replica")
     while (start := engine.begin_round()) is not None:
         batch, delta = start
-        for address, value in delta:
-            replica.write(address, value)
+        replica.apply_writes(delta)
         decisions = []
         for iteration in batch:
             status, reserved, _cycles = _run_reserve(step, replica, iteration)
@@ -970,8 +969,7 @@ class SpecForSystem:
                         # whose delta is the full initial program state.
                         replica = AddressSpace(f"specfor.replica{w}")
                     core.charge_cycles(access_cycles * len(delta))
-                    for address, value in delta:
-                        replica.write(address, value)
+                    replica.apply_writes(delta)
                     decisions = []
                     cycles = 0.0
                     for iteration in assignment:

@@ -12,6 +12,16 @@ Design notes
   is converted by the cluster layer (``cycles / clock_hz``).
 * Events scheduled for the same instant fire in scheduling (FIFO) order,
   which makes runs fully deterministic.
+* A process may ``yield`` a non-negative ``float`` instead of an event:
+  a *bare delay* of that many seconds.  It wakes through a timer entry
+  the process owns, so a compute burst or a wire serialization
+  allocates no :class:`Event`.
+* :meth:`Environment.call_later` runs a function after a delay through
+  the same kind of timer entry, with no event and no callback list.
+* Entries due at the current instant — triggered events, process starts
+  and completions — wait in a FIFO beside the time-ordered heap.  The
+  loop takes whichever head is smaller by ``(time, key)``: the same total
+  order as one heap, without a heap trip for the most common entries.
 * A process may be interrupted: :meth:`Process.interrupt` throws a
   :class:`~repro.errors.ProcessInterrupt` into the generator at the point
   of its current ``yield``.
@@ -19,7 +29,7 @@ Design notes
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -35,8 +45,8 @@ __all__ = ["Environment", "Event", "Timeout", "Process", "PENDING"]
 #: Sentinel for an event value that has not been set yet.
 PENDING = object()
 
-#: Priority bias folded into the heap key.  A heap entry is
-#: ``(time, key, event)`` with ``key = eid`` for priority-0 events
+#: Priority bias folded into the queue key.  A queue entry is
+#: ``(time, key, entry)`` with ``key = eid`` for priority-0 events
 #: (interrupts) and ``key = eid + _P1`` for everything else — the exact
 #: lexicographic order of the old ``(time, priority, eid)`` key with one
 #: fewer tuple element to build and compare per event.
@@ -104,7 +114,7 @@ class Event:
         # resource grant and store hand-off, so the extra call counts.
         env = self.env
         env._eid = eid = env._eid + 1
-        heappush(env._queue, (env._now, eid + _P1, self))
+        env._ready.append((env._now, eid + _P1, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -144,8 +154,7 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        # Event.__init__ and Environment._enqueue inlined; timeouts are
-        # the most-constructed event kind of a run.
+        # Event.__init__ and Environment._enqueue inlined.
         self.env = env
         self.callbacks = []
         self._value = value
@@ -168,7 +177,31 @@ class Initialize(Event):
         self._ok = True
         self._defused = True
         env._eid = eid = env._eid + 1
-        heappush(env._queue, (env._now, eid + _P1, self))
+        env._ready.append((env._now, eid + _P1, self))
+
+
+class _Timer:
+    """A queue entry that calls ``fn(entry)`` instead of being an Event.
+
+    The loop runs ``fn`` only while ``key`` still equals the key the
+    entry was queued under; a process invalidates its pending wake this
+    way when it is interrupted, and the stale entry is then popped and
+    counted but runs nothing.  A timer reads as an event that succeeded
+    with ``None``, so a process's own timer can be handed straight to its
+    resume callback.
+    """
+
+    __slots__ = ("fn", "key")
+
+    _ok = True
+    _value = None
+
+    def __init__(self, fn: Callable[["_Timer"], None], key: int) -> None:
+        self.fn = fn
+        self.key = key
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<timer {getattr(self.fn, '__qualname__', self.fn)}>"
 
 
 class Process(Event):
@@ -177,7 +210,7 @@ class Process(Event):
     (failure).
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_target", "name", "_resume", "_timer")
 
     def __init__(
         self,
@@ -189,16 +222,23 @@ class Process(Event):
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         self._generator = generator
-        self._target: Optional[Event] = None
+        #: The event, or the wake timer, this process waits on.
+        self._target: Optional[Event | _Timer] = None
         #: Optional label used by deadlock diagnostics.
         self.name = name
+        #: The bound resume callback, made once: every yield registers it.
+        self._resume = self._advance
+        #: The timer entry that ends this process's bare-delay waits.
+        self._timer = _Timer(self._resume, 0)
         env._processes[self] = None
         Initialize(env, self)
 
     @property
     def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on, if any."""
-        return self._target
+        """The event this process is currently waiting on, if any
+        (``None`` while it sleeps on a bare delay)."""
+        target = self._target
+        return None if target.__class__ is _Timer else target
 
     @property
     def is_alive(self) -> bool:
@@ -220,31 +260,35 @@ class Process(Event):
         interrupt_event.callbacks.append(self._resume)
         self.env._enqueue(interrupt_event, priority=0)
 
-    def _resume(self, event: Event) -> None:
+    def _advance(self, event: Event | _Timer) -> None:
         """Advance the generator with the value (or failure) of ``event``."""
         env = self.env
         env._active = self
-        # Detach from whatever we were waiting on so a late trigger of the
-        # old target (after an interrupt) does not resume us twice.
-        if self._target is not None and self._target is not event:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except (ValueError, AttributeError):
-                pass
+        target = self._target
+        if target is not event and target is not None:
+            # Resumed by something other than what we waited on (an
+            # interrupt): detach so the old target cannot resume us too.
+            if target.__class__ is _Timer:
+                target.key = 0
+            else:
+                try:
+                    target.callbacks.remove(self._resume)
+                except (ValueError, AttributeError):
+                    pass
         self._target = None
         try:
             if event._ok:
-                next_event = self._generator.send(event._value)
+                yielded = self._generator.send(event._value)
             else:
                 event._defused = True
-                next_event = self._generator.throw(event._value)
+                yielded = self._generator.throw(event._value)
         except StopIteration as stop:
             env._active = None
             env._processes.pop(self, None)
             self._ok = True
             self._value = stop.value
             env._eid = eid = env._eid + 1
-            heappush(env._queue, (env._now, eid + _P1, self))
+            env._ready.append((env._now, eid + _P1, self))
             return
         except BaseException as exc:
             env._active = None
@@ -255,26 +299,36 @@ class Process(Event):
             env._enqueue(self)
             return
         env._active = None
+        if yielded.__class__ is float:
+            if yielded < 0.0:
+                raise ValueError(f"negative delay: {yielded}")
+            # A bare delay: queue the own timer under the key a Timeout
+            # created right now would take.
+            env._eid = eid = env._eid + 1
+            key = eid + _P1
+            timer = self._timer
+            timer.key = key
+            heappush(env._queue, (env._now + yielded, key, timer))
+            self._target = timer
+            return
         try:
-            target_callbacks = next_event.callbacks
+            target_callbacks = yielded.callbacks
         except AttributeError:
             raise SimulationError(
-                f"process yielded a non-event: {next_event!r} "
-                "(processes must yield Event instances)"
+                f"process yielded a non-event: {yielded!r} "
+                "(processes must yield Event instances or float delays)"
             ) from None
         if target_callbacks is None:
             # Already processed: resume immediately at the current time.
             bridge = Event(env)
-            bridge._ok = next_event._ok
-            bridge._value = next_event._value
-            if not next_event._ok:
-                bridge._defused = True
+            bridge._ok = yielded._ok
+            bridge._value = yielded._value
             bridge.callbacks.append(self._resume)
             env._enqueue(bridge)
             self._target = bridge
         else:
             target_callbacks.append(self._resume)
-            self._target = next_event
+            self._target = yielded
 
 
 class Environment:
@@ -282,7 +336,10 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue: list[tuple[float, int, int, Event]] = []
+        #: Future entries, a heap of ``(time, key, entry)``.
+        self._queue: list[tuple[float, int, Event | _Timer]] = []
+        #: Entries due now, in key order (all keys fresh, so ascending).
+        self._ready: deque[tuple[float, int, Event | _Timer]] = deque()
         self._eid = 0
         self._active: Optional[Process] = None
         #: Observability hub (:class:`repro.obs.Observability`) if one is
@@ -296,9 +353,9 @@ class Environment:
         self.chaos = None
         #: Live processes, in creation order (deadlock diagnostics).
         self._processes: dict[Process, None] = {}
-        #: Hooks invoked with each processed event (``add_step_listener``).
-        self._step_listeners: list[Callable[[Event], None]] = []
-        #: Events processed so far (the ``repro perf`` throughput metric).
+        #: Hooks invoked with each processed entry (``add_step_listener``).
+        self._step_listeners: list[Callable[[Any], None]] = []
+        #: Entries processed so far (the ``repro perf`` throughput metric).
         self.events_processed = 0
 
     # -- introspection ----------------------------------------------------
@@ -314,7 +371,9 @@ class Environment:
         return self._active
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
+        """Time of the next scheduled entry, or ``inf`` if none."""
+        if self._ready:
+            return self._now
         return self._queue[0][0] if self._queue else float("inf")
 
     # -- event construction ------------------------------------------------
@@ -327,28 +386,6 @@ class Environment:
         """Create an event that triggers ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def sleep(self, delay: float) -> Timeout:
-        """Fast-path timeout: a bare delay with no value payload.
-
-        Semantically identical to ``timeout(delay)`` but built without
-        the :class:`Event` constructor chain — the cluster layer
-        schedules one of these for every compute burst and wire
-        serialization, which makes it the single most-allocated object
-        of a run.
-        """
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        timeout = Timeout.__new__(Timeout)
-        timeout.env = self
-        timeout.callbacks = []
-        timeout._value = None
-        timeout._ok = True
-        timeout._defused = True
-        timeout.delay = delay
-        self._eid = eid = self._eid + 1
-        heappush(self._queue, (self._now + delay, eid + _P1, timeout))
-        return timeout
-
     def process(
         self, generator: Generator[Event, Any, Any], name: Optional[str] = None
     ) -> Process:
@@ -360,9 +397,9 @@ class Environment:
 
     def blocked_report(self, limit: int = 16) -> str:
         """One line per live process: who it is, where its generator is
-        suspended, and what event it waits on.  Empty string if no
-        process is alive — the substance of every :class:`DeadlockError`
-        this environment raises."""
+        suspended, and what it waits on.  Empty string if no process is
+        alive — the substance of every :class:`DeadlockError` this
+        environment raises."""
         lines = []
         for process in self._processes:
             if len(lines) >= limit:
@@ -382,8 +419,15 @@ class Environment:
             else:
                 where = "<not started>"
             target = process._target
-            waiting = "nothing (never resumed)" if target is None else repr(target)
-            lines.append(f"  {label} suspended at {where}, waiting on {waiting}")
+            if target is None:
+                waiting = "waiting on nothing (never resumed)"
+            elif target.__class__ is _Timer:
+                wake = next(when for when, key, _entry in self._queue
+                            if key == target.key)
+                waiting = f"sleeping until {wake}"
+            else:
+                waiting = f"waiting on {target!r}"
+            lines.append(f"  {label} suspended at {where}, {waiting}")
         return "\n".join(lines)
 
     def _deadlock(self, headline: str) -> DeadlockError:
@@ -454,11 +498,13 @@ class Environment:
 
     # -- scheduling / execution --------------------------------------------
 
-    def _enqueue(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
+    def _enqueue(self, event: Event, priority: int = 1) -> None:
+        """Queue ``event`` at the current instant."""
         self._eid = eid = self._eid + 1
         if priority:
-            eid += _P1
-        heappush(self._queue, (self._now + delay, eid, event))
+            self._ready.append((self._now, eid + _P1, event))
+        else:
+            heappush(self._queue, (self._now, eid, event))
 
     def triggered_event(self, value: Any = None) -> Event:
         """A fresh event that is already triggered ok with ``value``.
@@ -474,42 +520,49 @@ class Environment:
         event._ok = True
         event._defused = True
         self._eid = eid = self._eid + 1
-        heappush(self._queue, (self._now, eid + _P1, event))
+        self._ready.append((self._now, eid + _P1, event))
         return event
 
-    def reserve_key(self) -> int:
-        """Reserve the queue slot of an event created *now*.
+    def call_later(self, delay: float, fn: Callable[[_Timer], None]) -> None:
+        """Call ``fn(entry)`` ``delay`` seconds from now.
 
-        Returns the heap key the next scheduled event would take.  An
-        event pushed later under it by :meth:`schedule_at` fires in the
-        exact FIFO position it would have held had it been scheduled at
-        reservation time — which lets a caller keep one armed event for
+        Ordered exactly like a :class:`Timeout` created at this point,
+        but no event, callback list or waiter is involved: the loop
+        calls ``fn`` directly.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        self._eid = eid = self._eid + 1
+        key = eid + _P1
+        heappush(self._queue, (self._now + delay, key, _Timer(fn, key)))
+
+    def reserve_key(self) -> int:
+        """Reserve the queue slot of an entry created *now*.
+
+        Returns the key the next scheduled entry would take.  An entry
+        queued later under it by :meth:`schedule_at` fires in the exact
+        FIFO position it would have held had it been scheduled at
+        reservation time — which lets a caller keep one armed timer for
         a whole series of would-be timers without reordering anything.
         """
         self._eid = eid = self._eid + 1
         return eid + _P1
 
     def schedule_at(
-        self, when: float, key: int, callback: Callable[[Event], None]
-    ) -> Event:
-        """Schedule ``callback`` at absolute time ``when`` under a key
-        from :meth:`reserve_key`.  Each key must be used at most once."""
+        self, when: float, key: int, fn: Callable[[_Timer], None]
+    ) -> None:
+        """Call ``fn(entry)`` at absolute time ``when`` under a key from
+        :meth:`reserve_key`.  Each key must be used at most once."""
         if when < self._now:
             raise SimulationError(f"schedule_at({when}) is in the past (now={self._now})")
-        event = Event.__new__(Event)
-        event.env = self
-        event.callbacks = [callback]
-        event._value = None
-        event._ok = True
-        event._defused = True
-        heappush(self._queue, (when, key, event))
-        return event
+        heappush(self._queue, (when, key, _Timer(fn, key)))
 
-    def add_step_listener(self, listener: Callable[[Event], None]) -> None:
-        """Register ``listener`` to observe every processed event."""
+    def add_step_listener(self, listener: Callable[[Any], None]) -> None:
+        """Register ``listener`` to observe every processed entry: each
+        event, and each timer entry (bare-delay wakes, ``call_later``)."""
         self._step_listeners.append(listener)
 
-    def remove_step_listener(self, listener: Callable[[Event], None]) -> None:
+    def remove_step_listener(self, listener: Callable[[Any], None]) -> None:
         """Unregister a step listener; missing listeners are ignored."""
         try:
             self._step_listeners.remove(listener)
@@ -517,22 +570,35 @@ class Environment:
             pass
 
     def step(self) -> None:
-        """Process the single next event, advancing the clock."""
-        if not self._queue:
+        """Process the single next entry, advancing the clock."""
+        queue = self._queue
+        ready = self._ready
+        if ready:
+            if queue and queue[0] < ready[0]:
+                when, key, entry = heappop(queue)
+                self._now = when
+            else:
+                when, key, entry = ready.popleft()
+        elif queue:
+            when, key, entry = heappop(queue)
+            self._now = when
+        else:
             raise self._deadlock("event queue is empty")
-        when, _key, event = heapq.heappop(self._queue)
-        self._now = when
         self.events_processed += 1
-        callbacks = event.callbacks
-        event.callbacks = None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            # A failed event that nobody handled: surface the error.
-            raise event._value
+        if entry.__class__ is _Timer:
+            if entry.key == key:
+                entry.fn(entry)
+        else:
+            callbacks = entry.callbacks
+            entry.callbacks = None
+            for callback in callbacks:
+                callback(entry)
+            if not entry._ok and not entry._defused:
+                # A failed event that nobody handled: surface the error.
+                raise entry._value
         if self._step_listeners:
             for listener in self._step_listeners:
-                listener(event)
+                listener(entry)
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
@@ -551,71 +617,82 @@ class Environment:
                 raise SimulationError(f"until={stop_time} is in the past (now={self._now})")
 
         # The fused step loop.  One iteration here is :meth:`step` with
-        # the per-event overhead stripped: the queue, heappop, and the
+        # the per-entry overhead stripped: the queues, heappop, and the
         # listener list are locals, the stop checks read slots directly
-        # instead of going through properties, and the processed-event
+        # instead of going through properties, and the processed-entry
         # count is flushed once at exit.  Listener registration mutates
         # ``_step_listeners`` in place, so the local alias stays live.
-        # The loop body is replicated per stop mode so the common modes
-        # (run to an event, run until the queue drains) pay no per-event
-        # checks for the stop conditions they cannot hit.
+        # An entry from the ready FIFO is due now, so only a heap entry
+        # moves the clock.  Running to a time takes the general loop;
+        # the hot loop serves the other two modes, since draining the
+        # queue is running to an event that never triggers.
         queue = self._queue
+        ready = self._ready
+        popleft = ready.popleft
         listeners = self._step_listeners
+        timer = _Timer
         processed = 0
         try:
             if stop_time != float("inf"):
-                while queue:
-                    if stop_event is not None and stop_event.callbacks is None:
+                while stop_event is None or stop_event.callbacks is not None:
+                    if ready:
+                        # Due now, so never past ``stop_time``.
+                        if queue and queue[0] < ready[0]:
+                            when, key, entry = heappop(queue)
+                            self._now = when
+                        else:
+                            when, key, entry = popleft()
+                    elif queue:
+                        if queue[0][0] > stop_time:
+                            self._now = stop_time
+                            return None
+                        when, key, entry = heappop(queue)
+                        self._now = when
+                    else:
                         break
-                    when = queue[0][0]
-                    if when > stop_time:
-                        self._now = stop_time
-                        return None
-                    event = heappop(queue)[2]
-                    self._now = when
                     processed += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        # A failed event that nobody handled: surface it.
-                        raise event._value
+                    if entry.__class__ is timer:
+                        if entry.key == key:
+                            entry.fn(entry)
+                    else:
+                        callbacks = entry.callbacks
+                        entry.callbacks = None
+                        for callback in callbacks:
+                            callback(entry)
+                        if not entry._ok and not entry._defused:
+                            # A failed event that nobody handled: surface it.
+                            raise entry._value
                     if listeners:
                         for listener in listeners:
-                            listener(event)
-            elif stop_event is not None:
-                while queue:
-                    if stop_event.callbacks is None:
-                        break
-                    item = heappop(queue)
-                    self._now = item[0]
-                    event = item[2]
-                    processed += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                    if listeners:
-                        for listener in listeners:
-                            listener(event)
+                            listener(entry)
             else:
-                while queue:
-                    item = heappop(queue)
-                    self._now = item[0]
-                    event = item[2]
+                stop = stop_event if stop_event is not None else Event(self)
+                while stop.callbacks is not None:
+                    if ready:
+                        if queue and queue[0] < ready[0]:
+                            when, key, entry = heappop(queue)
+                            self._now = when
+                        else:
+                            when, key, entry = popleft()
+                    elif queue:
+                        when, key, entry = heappop(queue)
+                        self._now = when
+                    else:
+                        break
                     processed += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
+                    if entry.__class__ is timer:
+                        if entry.key == key:
+                            entry.fn(entry)
+                    else:
+                        callbacks = entry.callbacks
+                        entry.callbacks = None
+                        for callback in callbacks:
+                            callback(entry)
+                        if not entry._ok and not entry._defused:
+                            raise entry._value
                     if listeners:
                         for listener in listeners:
-                            listener(event)
+                            listener(entry)
         finally:
             self.events_processed += processed
 

@@ -41,6 +41,32 @@ def test_recovery_after_done_rejected():
         state.begin_recovery(1)
 
 
+def _flags(state):
+    return state.in_recovery, state.done
+
+
+def test_flags_follow_every_mode_transition():
+    # in_recovery and done are plain attributes; the mode setter keeps
+    # them equal to "mode is RECOVERY" and "mode is DONE" on every path.
+    state = SystemState()
+    assert _flags(state) == (False, False)
+    state.begin_recovery(3)  # RUN -> RECOVERY
+    assert state.mode == RunMode.RECOVERY and _flags(state) == (True, False)
+    state.resume(restart_base=4)  # RECOVERY -> RUN
+    assert state.mode == RunMode.RUN and _flags(state) == (False, False)
+    state.begin_recovery(5)
+    state.terminate()  # RECOVERY -> DONE
+    assert state.mode == RunMode.DONE and _flags(state) == (False, True)
+    other = SystemState()
+    other.terminate()  # RUN -> DONE
+    assert _flags(other) == (False, True)
+    for mode, flags in ((RunMode.RECOVERY, (True, False)),
+                        (RunMode.RUN, (False, False)),
+                        (RunMode.DONE, (False, True))):
+        other.mode = mode  # direct assignment takes the same path
+        assert _flags(other) == flags
+
+
 def test_stats_queue_byte_accounting():
     stats = RunStats()
     stats.record_queue_bytes("forward", 100)

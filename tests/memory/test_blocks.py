@@ -27,6 +27,8 @@ _OPS = st.lists(
         st.tuples(st.just("write"), _ADDRESSES, _VALUES),
         st.tuples(st.just("write_block"), _ADDRESSES,
                   st.lists(_VALUES, min_size=1, max_size=100)),
+        st.tuples(st.just("apply_writes"),
+                  st.lists(st.tuples(_ADDRESSES, _VALUES), max_size=40)),
         st.tuples(st.just("reprotect"),),
     ),
     max_size=30,
@@ -40,6 +42,9 @@ def _apply_reference(model, op):
     elif op[0] == "write_block":
         for offset, value in enumerate(op[2]):
             model[op[1] + 8 * offset] = value
+    elif op[0] == "apply_writes":
+        for address, value in op[1]:
+            model[address] = value
     else:  # reprotect
         model.clear()
 
@@ -49,6 +54,8 @@ def _apply_space(space, op):
         space.write(op[1], op[2])
     elif op[0] == "write_block":
         space.write_block(op[1], op[2])
+    elif op[0] == "apply_writes":
+        space.apply_writes(op[1])
     else:
         space.reprotect_all()
 

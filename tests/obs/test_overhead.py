@@ -91,16 +91,16 @@ def test_listener_attached_mid_run_sees_remaining_events():
     seen = []
 
     def late():
-        yield env.sleep(1.0)
+        yield 1.0
         env.add_step_listener(lambda event: seen.append(event))
-        yield env.sleep(1.0)
-        yield env.sleep(1.0)
+        yield 1.0
+        yield 1.0
 
     env.process(late())
     env.run()
     # Listeners are notified after an event's callbacks run, so the
-    # attaching event itself is seen too: the sleep that attached, the
-    # two later sleeps, and the process-completion event.
+    # attaching entry itself is seen too: the wake that attached, the
+    # two later wakes, and the process-completion event.
     assert len(seen) == 4
 
 

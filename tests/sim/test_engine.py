@@ -196,14 +196,14 @@ def test_unhandled_failure_after_handled_one_still_surfaces():
     assert caught == ["handled"]
 
 
-def test_sleep_fast_path_matches_timeout():
+def test_bare_delay_matches_timeout():
     env = Environment()
     times = []
 
     def proc():
-        yield env.sleep(3.0)
+        yield 3.0
         times.append(env.now)
-        yield env.sleep(0.0)
+        yield 0.0
         times.append(env.now)
 
     env.process(proc())
@@ -211,24 +211,31 @@ def test_sleep_fast_path_matches_timeout():
     assert times == [3.0, 3.0]
 
 
-def test_sleep_negative_delay_rejected():
+def test_negative_bare_delay_rejected():
     env = Environment()
     with pytest.raises(ValueError):
-        env.sleep(-0.5)
+        env.call_later(-0.5, lambda _e: None)
+
+    def proc():
+        yield -0.5
+
+    env.process(proc())
+    with pytest.raises(ValueError, match="negative delay"):
+        env.run()
 
 
 def test_reserved_key_fires_in_its_reservation_slot():
-    # An event scheduled later under a reserved key fires exactly where
+    # An entry scheduled later under a reserved key fires exactly where
     # a timer created at reservation time would have: after same-time
-    # events created before the reservation, before those created after.
+    # entries created before the reservation, before those created after.
     env = Environment()
     order = []
-    env.sleep(1.0).callbacks.append(lambda _e: order.append("before"))
+    env.call_later(1.0, lambda _e: order.append("before"))
     key = env.reserve_key()
-    env.sleep(1.0).callbacks.append(lambda _e: order.append("after"))
+    env.call_later(1.0, lambda _e: order.append("after"))
 
     def arm_late():
-        yield env.sleep(0.5)
+        yield 0.5
         env.schedule_at(1.0, key, lambda _e: order.append("reserved"))
 
     env.process(arm_late())
@@ -244,8 +251,8 @@ def test_schedule_at_rejects_the_past():
         env.schedule_at(1.0, env.reserve_key(), lambda _e: None)
 
 
-def test_sleep_and_timeout_share_fifo_order():
-    # sleep() is an allocation fast path, not a different event kind:
+def test_bare_delay_and_timeout_share_fifo_order():
+    # A bare delay is an allocation fast path, not a different ordering:
     # it must interleave with timeout() in strict creation order.
     env = Environment()
     order = []
@@ -254,12 +261,12 @@ def test_sleep_and_timeout_share_fifo_order():
         yield env.timeout(1.0)
         order.append(name)
 
-    def via_sleep(name):
-        yield env.sleep(1.0)
+    def via_delay(name):
+        yield 1.0
         order.append(name)
 
     env.process(via_timeout("a"))
-    env.process(via_sleep("b"))
+    env.process(via_delay("b"))
     env.process(via_timeout("c"))
     env.run()
     assert order == ["a", "b", "c"]
